@@ -29,37 +29,31 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use thrifty_analytic::fountain::{FountainChannel, FountainDelayModel, DEFAULT_PEELING_MARGIN};
 use thrifty_analytic::policy::{EncryptionMode, Policy};
 use thrifty_crypto::Algorithm;
 use thrifty_faults::{FaultPlan, Region};
-use thrifty_net::tcp::TcpSegment;
-use thrifty_net::wire::{FragmentHeader, FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel, UDP_IP_OVERHEAD};
+use thrifty_net::wire::{FRAG_HEADER_LEN, RTP_HEADER_LEN};
+use thrifty_net::{LossChannel, UDP_IP_OVERHEAD};
 use thrifty_recover::{
     ControllerConfig, DegradationController, PolicyRung, RecoveryReport, RtoConfig, RtoEstimator,
 };
 use thrifty_sim::fountain::{run_pipeline_fountain_metered, FountainConfig};
 use thrifty_sim::pipeline::{
-    run_pipeline_faulty, AirChannel, InputFrame, PipelineConfig, RecoveryOptions,
+    run_pipeline_faulty, AirChannel, InputFrame, LossModel, PipelineConfig, RecoveryOptions,
 };
+use thrifty_sim::tcp::{run_pipeline_tcp, TcpConfig};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::nal::{parse_annex_b, write_annex_b};
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
 use thrifty_video::MotionLevel;
 
 use crate::fountain::{
-    annex_b_len, block_symbols, concealed_psnr, delivered_media_bytes, stream, EitherChannel,
-    ProtocolKind, SYMBOL_LEN,
+    annex_b_len, block_symbols, concealed_psnr, delivered_media_bytes, received_flags, stream,
+    ProtocolKind, GOP, SYMBOL_LEN,
 };
 use crate::parallel::par_map;
 use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
 
-/// GOP structure of the soak clip (matches [`crate::fountain::stream`]).
-const GOP: usize = 10;
-/// IP header the TCP segments ride in.
-const IP_HEADER_LEN: usize = 20;
 /// The fixed-RTO baseline the adaptive estimator is raced against, and the
 /// adaptive estimator's initial/ceiling value — so the adaptive transport
 /// starts from the baseline and earns its advantage from RTT samples.
@@ -165,26 +159,10 @@ impl StormClass {
         }
     }
 
-    /// The matching [`LossChannel`] for the TCP harness and the controller
-    /// soak.
-    fn loss_channel(self) -> EitherChannel {
-        match self.air() {
-            (loss, AirChannel::Iid) => EitherChannel::Iid(BernoulliChannel::new(1.0 - loss)),
-            (
-                _,
-                AirChannel::Burst {
-                    p_gb,
-                    p_bg,
-                    good_success,
-                    bad_success,
-                },
-            ) => EitherChannel::Burst(GilbertElliottChannel::new(
-                p_gb,
-                p_bg,
-                good_success,
-                bad_success,
-            )),
-        }
+    /// The storm's channel as a [`LossModel`], for the controller soak.
+    fn loss_model(self) -> LossModel {
+        let (loss_prob, channel) = self.air();
+        LossModel::try_new(loss_prob, channel).expect("storm channel parameters are valid")
     }
 
     /// The analytic per-symbol delivery process (for the fountain's ε and
@@ -211,7 +189,7 @@ impl StormClass {
 
     /// Long-run packet-loss rate of the storm's channel.
     fn analytic_loss(self) -> f64 {
-        1.0 - self.loss_channel().success_rate()
+        1.0 - self.loss_model().success_rate()
     }
 }
 
@@ -285,244 +263,17 @@ impl ChaosRun {
     }
 }
 
-/// One RTP/UDP cell: the threaded pipeline with the storm's fault plan and
-/// receiver-side resync armed. Recovery episodes come straight from the
-/// pipeline's [`RecoveryReport`].
-fn run_udp(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
-    let plan = if clean { FaultPlan::none(seed) } else { storm.plan(seed) };
-    let config = PipelineConfig {
-        policy: soak_policy(),
-        loss_prob,
-        channel,
-        seed,
-        recovery: Some(RecoveryOptions {
-            handshake_packets: HANDSHAKE_PACKETS,
-            gop_hint: GOP,
-        }),
-        ..PipelineConfig::default()
-    };
-    let mtu = config.mtu_payload;
-    let out = run_pipeline_faulty(input.to_vec(), config, &plan, metrics)
-        .expect("storm plans carry valid probabilities");
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
-            received[f] = true;
-        }
-    }
-    // Media bytes on the air: frames the bounded queue dropped never burn
-    // air; everything else is chunked at the MTU with per-packet headers.
-    let bytes_on_air: u64 = input
-        .iter()
-        .filter(|f| !out.frames_dropped_at_queue.contains(&f.index))
-        .map(|f| {
-            let len = annex_b_len(f);
-            let packets = len.div_ceil(mtu);
-            (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
-        })
-        .sum();
-    ChaosRun {
-        sent: out.packets_sent,
-        bytes_on_air,
-        timeouts: 0,
-        stall_fixed_s: 0.0,
-        stall_adaptive_s: 0.0,
-        received,
-        resync: out.recovery.unwrap_or_default(),
-    }
-}
-
-/// One HTTP/TCP cell: segments retransmit until delivered; the loss trace
-/// is recorded per segment and then billed twice — once at the fixed RTO,
-/// once through the Jacobson/Karn estimator (Karn's rule: only segments
-/// that went through on the first attempt contribute RTT samples).
-fn run_tcp(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let policy = soak_policy();
-    let cipher = thrifty_crypto::SegmentCipher::new(policy.algorithm, &[0x42; 32])
-        .expect("32-byte key fits AES-256");
-    let originals: BTreeMap<usize, Vec<u8>> = input
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
-
-    // Producer: per-frame policy draw (same stream discipline as the
-    // RTP/UDP encryptor), then segmentation at 1400 bytes.
-    let mut policy_rng = StdRng::seed_from_u64(seed);
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut seg_index: u32 = 0;
-    for frame in input {
-        let unit: f64 = rand::Rng::gen_range(&mut policy_rng, 0.0..1.0);
-        let encrypt = policy.mode.should_encrypt(frame.ftype, unit);
-        let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
-        let chunks: Vec<&[u8]> = annex_b.chunks(1400).collect();
-        let total = chunks.len() as u16;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut payload = Vec::with_capacity(FRAG_HEADER_LEN + chunk.len());
-            payload
-                .extend_from_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
-            payload.extend_from_slice(chunk);
-            if encrypt {
-                cipher.encrypt_segment(seg_index as u64, &mut payload[FRAG_HEADER_LEN..]);
-            }
-            wire.push(
-                TcpSegment {
-                    src_port: 5004,
-                    dst_port: 5004,
-                    seq: seg_index,
-                    ack: 0,
-                    encrypted_marker: encrypt,
-                    payload,
-                }
-                .emit(),
-            );
-            seg_index += 1;
-        }
-    }
-    let sent = wire.len();
-
-    // The channel: one recorded loss trace both RTO disciplines replay.
-    let mut chan = if clean {
-        EitherChannel::Iid(BernoulliChannel::new(1.0))
-    } else {
-        storm.loss_channel()
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7C9);
-    let retransmissions = metrics.counter("net.tcp.retransmissions");
-    let mut bytes_on_air: u64 = 0;
-    let mut trace: Vec<(u32, u64)> = Vec::with_capacity(wire.len());
-    let mut store: BTreeMap<usize, BTreeMap<u16, Vec<u8>>> = BTreeMap::new();
-    let mut totals: BTreeMap<usize, u16> = BTreeMap::new();
-    for segment in wire {
-        let attempt_bytes = (segment.len() + IP_HEADER_LEN) as u64;
-        bytes_on_air += attempt_bytes;
-        let mut fails: u32 = 0;
-        while !chan.transmit(&mut rng) {
-            retransmissions.inc();
-            fails += 1;
-            bytes_on_air += attempt_bytes;
-        }
-        trace.push((fails, attempt_bytes));
-        let Ok(seg) = TcpSegment::parse(&segment) else {
-            continue; // unreachable: we emitted it ourselves
-        };
-        let mut payload = seg.payload;
-        if seg.encrypted_marker {
-            cipher.decrypt_segment(seg.seq as u64, &mut payload[FRAG_HEADER_LEN..]);
-        }
-        let Ok((fh, body)) = FragmentHeader::parse(&payload) else {
-            continue;
-        };
-        totals.insert(fh.frame as usize, fh.total);
-        store
-            .entry(fh.frame as usize)
-            .or_default()
-            .insert(fh.frag, body.to_vec());
-    }
-
-    // Bill the same trace under both disciplines. Fixed: one FIXED_RTO_S
-    // idle per timeout. Adaptive: the estimator's current RTO per timeout
-    // (doubling under backoff, capped at the fixed value), with clean
-    // first-attempt deliveries feeding RTT samples per Karn's rule.
-    let timeouts: usize = trace.iter().map(|&(f, _)| f as usize).sum();
-    let stall_fixed_s = timeouts as f64 * FIXED_RTO_S;
-    let config = RtoConfig::try_new(FIXED_RTO_S, MIN_RTO_S, FIXED_RTO_S, 6)
-        .expect("static estimator bounds are valid");
-    let mut estimator = RtoEstimator::new(config);
-    let mut stall_adaptive_s = 0.0;
-    for &(fails, attempt_bytes) in &trace {
-        for _ in 0..fails {
-            stall_adaptive_s += estimator.rto_s();
-            estimator.on_timeout();
-        }
-        if fails == 0 {
-            estimator.on_rtt_sample(attempt_bytes as f64 * 8.0 / PHY_RATE_BPS + BASE_RTT_S);
-        }
-    }
-
-    // Reassembly: a frame is intact iff every fragment arrived and the
-    // concatenation parses back to the original NAL payload byte-for-byte.
-    let mut received = vec![false; input.len()];
-    for (&frame, original) in &originals {
-        let complete = totals.get(&frame).is_some_and(|&total| {
-            store
-                .get(&frame)
-                .is_some_and(|frags| frags.len() == total as usize)
-        });
-        if !complete {
-            continue;
-        }
-        let mut annex_b = Vec::new();
-        for chunk in store[&frame].values() {
-            annex_b.extend_from_slice(chunk);
-        }
-        if let Ok(units) = parse_annex_b(&annex_b) {
-            if units.len() == 1 && &units[0].payload == original {
-                received[frame] = true;
-            }
-        }
-    }
-    ChaosRun {
-        sent,
-        bytes_on_air,
-        timeouts,
-        stall_fixed_s,
-        stall_adaptive_s,
-        received,
-        resync: RecoveryReport::default(),
-    }
-}
-
-/// One fountain cell: the storm only reaches the feedback-free transport
-/// through its channel; undecoded blocks surface as missing frames.
-fn run_fountain(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    overhead: f64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
-    let config = FountainConfig {
-        policy: soak_policy(),
-        symbol_len: SYMBOL_LEN,
-        overhead,
-        loss_prob,
-        seed,
-        channel,
-    };
-    let out = run_pipeline_fountain_metered(input, &config, metrics)
-        .expect("storm channels and the soak policy are valid");
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
-            received[f] = true;
-        }
-    }
-    ChaosRun {
-        sent: out.symbols_sent,
-        bytes_on_air: out.bytes_on_air,
-        timeouts: 0,
-        stall_fixed_s: 0.0,
-        stall_adaptive_s: 0.0,
-        received,
-        resync: RecoveryReport::default(),
-    }
-}
-
+/// One soak cell on the storm's channel, or on a lossless fault-free
+/// channel for the clean twin.
+///
+/// * RTP/UDP runs the storm's fault plan with receiver-side resync armed;
+///   recovery episodes come straight from the pipeline's
+///   [`RecoveryReport`].
+/// * HTTP/TCP meets the storm through its channel only (an empty plan):
+///   segments retransmit until delivered and the recorded loss trace is
+///   billed twice (see [`bill_stalls`]).
+/// * The fountain also meets it only through its channel; undecoded blocks
+///   surface as missing frames.
 fn run_cell(
     input: &[InputFrame],
     storm: StormClass,
@@ -532,11 +283,102 @@ fn run_cell(
     clean: bool,
     metrics: &MetricsRegistry,
 ) -> ChaosRun {
+    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
+    let policy = soak_policy();
+    let idle = |sent, bytes_on_air, receiver| ChaosRun {
+        sent,
+        bytes_on_air,
+        timeouts: 0,
+        stall_fixed_s: 0.0,
+        stall_adaptive_s: 0.0,
+        received: received_flags(input.len(), &receiver),
+        resync: RecoveryReport::default(),
+    };
     match proto {
-        ProtocolKind::Udp => run_udp(input, storm, seed, clean, metrics),
-        ProtocolKind::Tcp => run_tcp(input, storm, seed, clean, metrics),
-        ProtocolKind::Fountain => run_fountain(input, storm, seed, overhead, clean, metrics),
+        ProtocolKind::Udp => {
+            let plan = if clean { FaultPlan::none(seed) } else { storm.plan(seed) };
+            let config = PipelineConfig {
+                policy,
+                loss_prob,
+                channel,
+                seed,
+                recovery: Some(RecoveryOptions {
+                    handshake_packets: HANDSHAKE_PACKETS,
+                    gop_hint: GOP,
+                }),
+                ..PipelineConfig::default()
+            };
+            let mtu = config.mtu_payload;
+            let out = run_pipeline_faulty(input.to_vec(), config, &plan, metrics)
+                .expect("storm plans carry valid probabilities");
+            // Media bytes on the air: frames the queue dropped never burn
+            // air; everything else is chunked at the MTU with per-packet
+            // headers.
+            let bytes_on_air: u64 = input
+                .iter()
+                .filter(|f| !out.frames_dropped_at_queue.contains(&f.index))
+                .map(|f| {
+                    let len = annex_b_len(f);
+                    let packets = len.div_ceil(mtu);
+                    (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
+                })
+                .sum();
+            ChaosRun {
+                resync: out.recovery.unwrap_or_default(),
+                ..idle(out.packets_sent, bytes_on_air, out.receiver)
+            }
+        }
+        ProtocolKind::Tcp => {
+            let config = TcpConfig { policy, loss_prob, seed, channel };
+            let out = run_pipeline_tcp(input, &config, &FaultPlan::default(), metrics)
+                .expect("storm channels and the soak policy are valid");
+            let (timeouts, stall_fixed_s, stall_adaptive_s) = bill_stalls(&out.trace);
+            ChaosRun {
+                timeouts,
+                stall_fixed_s,
+                stall_adaptive_s,
+                ..idle(out.segments_sent, out.bytes_on_air(), out.receiver)
+            }
+        }
+        ProtocolKind::Fountain => {
+            let config = FountainConfig {
+                policy,
+                symbol_len: SYMBOL_LEN,
+                overhead,
+                loss_prob,
+                seed,
+                channel,
+            };
+            let out = run_pipeline_fountain_metered(input, &config, metrics)
+                .expect("storm channels and the soak policy are valid");
+            idle(out.symbols_sent, out.bytes_on_air, out.receiver)
+        }
     }
+}
+
+/// Bill one TCP loss trace of `(failures, attempt_bytes)` per segment under
+/// both RTO disciplines: `(timeouts, fixed stall s, adaptive stall s)`.
+/// Fixed: one [`FIXED_RTO_S`] idle per timeout. Adaptive: the
+/// Jacobson/Karn estimator's current RTO per timeout (doubling under
+/// backoff, capped at the fixed value), with segments that went through on
+/// the first attempt feeding RTT samples (Karn's rule).
+fn bill_stalls(trace: &[(u32, u64)]) -> (usize, f64, f64) {
+    let timeouts: usize = trace.iter().map(|&(f, _)| f as usize).sum();
+    let stall_fixed_s = timeouts as f64 * FIXED_RTO_S;
+    let config = RtoConfig::try_new(FIXED_RTO_S, MIN_RTO_S, FIXED_RTO_S, 6)
+        .expect("static estimator bounds are valid");
+    let mut estimator = RtoEstimator::new(config);
+    let mut stall_adaptive_s = 0.0;
+    for &(fails, attempt_bytes) in trace {
+        for _ in 0..fails {
+            stall_adaptive_s += estimator.rto_s();
+            estimator.on_timeout();
+        }
+        if fails == 0 {
+            estimator.on_rtt_sample(attempt_bytes as f64 * 8.0 / PHY_RATE_BPS + BASE_RTT_S);
+        }
+    }
+    (timeouts, stall_fixed_s, stall_adaptive_s)
 }
 
 /// What one controller soak produced.
@@ -553,7 +395,7 @@ struct ControllerOutcome {
 /// of [`CONTROLLER_WINDOW`] packets, EWMA-smoothed loss fraction as the
 /// distress signal. Seeded per storm, so two soaks agree bit for bit.
 fn controller_soak(storm: StormClass) -> ControllerOutcome {
-    let mut chan = storm.loss_channel();
+    let mut chan = storm.loss_model();
     let analytic_loss = storm.analytic_loss();
     let si = StormClass::ALL
         .iter()
@@ -894,7 +736,15 @@ mod tests {
     fn adaptive_rto_never_stalls_longer_than_fixed() {
         let input = stream(40);
         for storm in StormClass::ALL {
-            let run = run_tcp(&input, storm, 7, false, &MetricsRegistry::disabled());
+            let run = run_cell(
+                &input,
+                storm,
+                ProtocolKind::Tcp,
+                7,
+                0.0,
+                false,
+                &MetricsRegistry::disabled(),
+            );
             assert!(
                 run.stall_adaptive_s <= run.stall_fixed_s + 1e-12,
                 "{}: adaptive {} vs fixed {}",
@@ -905,10 +755,12 @@ mod tests {
         }
         // The deep fade forces enough timeouts after convergence that the
         // adaptive biller is strictly cheaper.
-        let fade = run_tcp(
+        let fade = run_cell(
             &input,
             StormClass::DeepFade,
+            ProtocolKind::Tcp,
             7,
+            0.0,
             false,
             &MetricsRegistry::disabled(),
         );
@@ -939,10 +791,12 @@ mod tests {
     #[test]
     fn key_rotation_storm_produces_bounded_resync_episodes() {
         let input = stream(80);
-        let run = run_udp(
+        let run = run_cell(
             &input,
             StormClass::KeyRotation,
+            ProtocolKind::Udp,
             3,
+            0.0,
             false,
             &MetricsRegistry::disabled(),
         );

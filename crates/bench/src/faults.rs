@@ -4,8 +4,8 @@
 //! Sweeps every fault class of [`thrifty_faults::FaultPlan`] (plus a clean
 //! baseline) across **both channel models** (i.i.d. Bernoulli — the eq. (20)
 //! assumption — and bursty Gilbert–Elliott) and **both transports** (RTP/UDP
-//! via the threaded pipeline, the §6.4 marker-option TCP framing via a
-//! segment-level harness). Every cell:
+//! via the two-thread pipeline, the §6.4 marker-option TCP framing via
+//! `thrifty-sim`'s TCP transport). Every cell:
 //!
 //! * runs **twice from the same seed** and checks the outcomes agree bit for
 //!   bit (the `reproducible` column);
@@ -21,27 +21,16 @@
 //! construction (reassembly compares payloads), so "frames intact" counts
 //! exact recoveries and everything else is concealed damage.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeMap;
-use thrifty_faults::{FaultPlan, FaultStats, FaultyChannel, QueueFaults, ReceiverFaults, Region};
-use thrifty_net::tcp::TcpSegment;
-use thrifty_net::wire::{FragmentHeader, FRAG_HEADER_LEN};
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel};
-use thrifty_sim::pipeline::{run_pipeline_faulty, AirChannel, InputFrame, PipelineConfig};
+use thrifty_faults::{FaultPlan, FaultStats, Region};
+use thrifty_sim::pipeline::{run_pipeline_faulty, AirChannel, PipelineConfig};
+use thrifty_sim::tcp::{run_pipeline_tcp, TcpConfig};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::nal::write_annex_b;
-use thrifty_video::quality::{measure_quality, ConcealingDecoder};
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
-use thrifty_video::{FrameType, MotionLevel};
+use thrifty_video::MotionLevel;
 
+use crate::fountain::{concealed_psnr, received_flags, stream, GOP};
 use crate::parallel::par_map;
 use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
-
-/// GOP structure of the fault-matrix clip.
-const GOP: usize = 10;
-/// TCP fixed header + the 4-byte marker option block.
-const TCP_HEADER_LEN: usize = 24;
 
 /// The fault classes of the matrix, in row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,25 +131,15 @@ impl ChannelKind {
             ),
         }
     }
-
-    /// The matching [`LossChannel`] for the TCP harness.
-    fn loss_channel(self) -> EitherChannel {
-        match self {
-            ChannelKind::Iid => EitherChannel::Iid(BernoulliChannel::new(0.98)),
-            ChannelKind::Burst => {
-                EitherChannel::Burst(GilbertElliottChannel::new(0.03, 0.3, 0.995, 0.6))
-            }
-        }
-    }
 }
 
 /// The two transports of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// The threaded RTP/UDP real-bytes pipeline.
+    /// The RTP/UDP real-bytes pipeline.
     Udp,
-    /// The §6.4 TCP framing (marker option), segment-level harness with
-    /// retransmission of lost segments.
+    /// The §6.4 TCP framing (marker option), with retransmission of lost
+    /// segments.
     Tcp,
 }
 
@@ -172,29 +151,6 @@ impl TransportKind {
         match self {
             TransportKind::Udp => "RTP/UDP",
             TransportKind::Tcp => "HTTP/TCP",
-        }
-    }
-}
-
-/// Static dispatch over the two loss channels (the trait is not
-/// object-safe: `transmit` is generic over the RNG).
-enum EitherChannel {
-    Iid(BernoulliChannel),
-    Burst(GilbertElliottChannel),
-}
-
-impl LossChannel for EitherChannel {
-    fn transmit<R: rand::Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        match self {
-            EitherChannel::Iid(c) => c.transmit(rng),
-            EitherChannel::Burst(c) => c.transmit(rng),
-        }
-    }
-
-    fn success_rate(&self) -> f64 {
-        match self {
-            EitherChannel::Iid(c) => c.success_rate(),
-            EitherChannel::Burst(c) => c.success_rate(),
         }
     }
 }
@@ -216,17 +172,6 @@ impl CellRun {
     }
 }
 
-/// The synthetic coded stream every cell transmits (deterministic).
-fn stream(frames: usize) -> Vec<InputFrame> {
-    (0..frames)
-        .map(|i| {
-            let ftype = if i % GOP == 0 { FrameType::I } else { FrameType::P };
-            let bytes = if ftype == FrameType::I { 8000 } else { 900 };
-            InputFrame::synthetic(i, ftype, bytes)
-        })
-        .collect()
-}
-
 /// Seed for a cell, mixed from its matrix coordinates so no two cells share
 /// fault-site streams.
 fn cell_seed(class: usize, chan: usize, transport: usize) -> u64 {
@@ -236,173 +181,10 @@ fn cell_seed(class: usize, chan: usize, transport: usize) -> u64 {
         ^ (transport as u64).wrapping_mul(0x85EB_CA6B)
 }
 
-/// One RTP/UDP cell: the threaded pipeline under the plan.
-fn run_udp(
-    frames: usize,
-    plan: &FaultPlan,
-    chan: ChannelKind,
-    seed: u64,
-    metrics: &MetricsRegistry,
-) -> CellRun {
-    let (loss_prob, channel) = chan.air();
-    let config = PipelineConfig {
-        loss_prob,
-        channel,
-        seed,
-        ..PipelineConfig::default()
-    };
-    let out = run_pipeline_faulty(stream(frames), config, plan, metrics)
-        .expect("fault matrix plans are valid; pipeline stages are panic-free");
-    let mut received = vec![false; frames];
-    for &f in &out.receiver.frames_ok {
-        if f < frames {
-            received[f] = true;
-        }
-    }
-    CellRun {
-        packets_sent: out.packets_sent,
-        faults: out.faults,
-        erasures: out.receiver_erasures.total(),
-        received,
-    }
-}
-
-/// One HTTP/TCP cell: frame fragments ride [`TcpSegment`]s with the marker
-/// option; segments the channel loses are retransmitted (reliable
-/// transport), segments the plan mangles arrive damaged and surface as
-/// erasures. I-frame segments are really encrypted and the marker drives
-/// the receiver's decryption — so the stale-key site bites here too.
-fn run_tcp(
-    frames: usize,
-    plan: &FaultPlan,
-    chan: ChannelKind,
-    seed: u64,
-    metrics: &MetricsRegistry,
-) -> CellRun {
-    let cipher = thrifty_crypto::SegmentCipher::new(thrifty_crypto::Algorithm::Aes256, &[0x42; 32])
-        .expect("32-byte key fits AES-256");
-    let stale = thrifty_crypto::SegmentCipher::new(thrifty_crypto::Algorithm::Aes256, &[0xA5; 32])
-        .expect("32-byte key fits AES-256");
-    let input = stream(frames);
-    let originals: BTreeMap<usize, Vec<u8>> = input
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
-
-    // Producer side: bounded-queue admission, then segmentation.
-    let mut queue = QueueFaults::new(plan, metrics);
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut seg_index: u32 = 0;
-    for frame in &input {
-        if !queue.admit() {
-            continue; // dropped before transmission
-        }
-        let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
-        let chunks: Vec<&[u8]> = annex_b.chunks(1400).collect();
-        let total = chunks.len() as u16;
-        let encrypt = frame.ftype == FrameType::I;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut payload = Vec::with_capacity(FRAG_HEADER_LEN + chunk.len());
-            payload
-                .extend_from_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
-            payload.extend_from_slice(chunk);
-            if encrypt {
-                cipher.encrypt_segment(seg_index as u64, &mut payload[FRAG_HEADER_LEN..]);
-            }
-            wire.push(
-                TcpSegment {
-                    src_port: 5004,
-                    dst_port: 5004,
-                    seq: seg_index,
-                    ack: 0,
-                    encrypted_marker: encrypt,
-                    payload,
-                }
-                .emit(),
-            );
-            seg_index += 1;
-        }
-    }
-    let packets_sent = wire.len();
-
-    // The channel: losses are retransmitted (TCP's job), byte damage from
-    // the plan's sites survives (it passed the checksum in this model).
-    let mut faulty = FaultyChannel::new(chan.loss_channel(), plan, TCP_HEADER_LEN, metrics);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7C9);
-    let retransmissions = metrics.counter("net.tcp.retransmissions");
-    let mut receiver_faults = ReceiverFaults::new(plan, metrics);
-    let mut erasures: u64 = 0;
-    let mut store: BTreeMap<usize, BTreeMap<u16, Vec<u8>>> = BTreeMap::new();
-    let mut totals: BTreeMap<usize, u16> = BTreeMap::new();
-    let mut deliver = |blob: Vec<u8>| {
-        let Ok(seg) = TcpSegment::parse(&blob) else {
-            erasures += 1;
-            return;
-        };
-        let mut payload = seg.payload;
-        if payload.len() < FRAG_HEADER_LEN {
-            erasures += 1;
-            return;
-        }
-        if seg.encrypted_marker {
-            let key = if receiver_faults.stale_hit() { &stale } else { &cipher };
-            key.decrypt_segment(seg.seq as u64, &mut payload[FRAG_HEADER_LEN..]);
-        }
-        let Ok((fh, body)) = FragmentHeader::parse(&payload) else {
-            erasures += 1;
-            return;
-        };
-        totals.insert(fh.frame as usize, fh.total);
-        store
-            .entry(fh.frame as usize)
-            .or_default()
-            .insert(fh.frag, body.to_vec());
-    };
-    for segment in wire {
-        while !faulty.transmit(&mut rng) {
-            retransmissions.inc(); // reliable transport: try again
-        }
-        for blob in faulty.mangle(segment) {
-            deliver(blob);
-        }
-    }
-    for blob in faulty.drain() {
-        deliver(blob);
-    }
-
-    // Reassembly: a frame is intact iff every fragment arrived and the
-    // concatenation parses back to the original NAL payload byte-for-byte.
-    let mut received = vec![false; frames];
-    for (&frame, original) in &originals {
-        let complete = totals.get(&frame).is_some_and(|&total| {
-            store
-                .get(&frame)
-                .is_some_and(|frags| frags.len() == total as usize)
-        });
-        if !complete {
-            continue;
-        }
-        let mut annex_b = Vec::new();
-        for chunk in store[&frame].values() {
-            annex_b.extend_from_slice(chunk);
-        }
-        if let Ok(units) = thrifty_video::nal::parse_annex_b(&annex_b) {
-            if units.len() == 1 && &units[0].payload == original {
-                received[frame] = true;
-            }
-        }
-    }
-    let mut faults = faulty.stats();
-    faults.merge(&queue.stats());
-    faults.merge(&receiver_faults.stats());
-    CellRun {
-        packets_sent,
-        faults,
-        erasures,
-        received,
-    }
-}
-
+/// One cell: the transport under the class's plan on the channel model.
+/// Over TCP, segments the channel loses are retransmitted, segments the
+/// plan mangles arrive damaged and surface as erasures, and I-frame
+/// segments are really encrypted — so the stale-key site bites there too.
 fn run_cell(
     frames: usize,
     class: FaultClass,
@@ -412,17 +194,41 @@ fn run_cell(
     metrics: &MetricsRegistry,
 ) -> CellRun {
     let plan = class.plan(seed);
+    let (loss_prob, channel) = chan.air();
     match transport {
-        TransportKind::Udp => run_udp(frames, &plan, chan, seed, metrics),
-        TransportKind::Tcp => run_tcp(frames, &plan, chan, seed, metrics),
+        TransportKind::Udp => {
+            let config = PipelineConfig {
+                loss_prob,
+                channel,
+                seed,
+                ..PipelineConfig::default()
+            };
+            let out = run_pipeline_faulty(stream(frames), config, &plan, metrics)
+                .expect("fault matrix plans are valid; pipeline stages are panic-free");
+            CellRun {
+                packets_sent: out.packets_sent,
+                faults: out.faults,
+                erasures: out.receiver_erasures.total(),
+                received: received_flags(frames, &out.receiver),
+            }
+        }
+        TransportKind::Tcp => {
+            let config = TcpConfig {
+                loss_prob,
+                channel,
+                seed,
+                ..TcpConfig::default()
+            };
+            let out = run_pipeline_tcp(&stream(frames), &config, &plan, metrics)
+                .expect("fault matrix plans and channels are valid");
+            CellRun {
+                packets_sent: out.segments_sent,
+                faults: out.faults,
+                erasures: out.receiver_erasures,
+                received: received_flags(frames, &out.receiver),
+            }
+        }
     }
-}
-
-/// PSNR of the concealed reconstruction implied by `received`, against a
-/// deterministic QCIF clip (the paper's concealment decoder, eq. (28)).
-fn concealed_psnr(clip: &[thrifty_video::yuv::YuvFrame], received: &[bool]) -> f64 {
-    let reconstructed = ConcealingDecoder.reconstruct(clip, received, GOP);
-    measure_quality(clip, &reconstructed).psnr_of_mean_mse
 }
 
 /// Generate the fault matrix: every fault class × channel model × transport.
@@ -629,10 +435,11 @@ mod tests {
         // bursty channel.
         let frames = 40;
         let metrics = MetricsRegistry::enabled();
-        let run = run_tcp(
+        let run = run_cell(
             frames,
-            &FaultClass::Baseline.plan(5),
+            FaultClass::Baseline,
             ChannelKind::Burst,
+            TransportKind::Tcp,
             5,
             &metrics,
         );

@@ -29,21 +29,22 @@
 //! stall — in the deep fade the RTO tax dwarfs the fountain's proactive
 //! `(1+ε)` spray and rateless coding wins goodput outright.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeMap;
 use thrifty_analytic::delay::DelayModel;
 use thrifty_analytic::fountain::{FountainChannel, FountainDelayModel, DEFAULT_PEELING_MARGIN};
 use thrifty_analytic::params::{ScenarioParams, SAMSUNG_GALAXY_S2};
 use thrifty_analytic::policy::{EncryptionMode, Policy};
 use thrifty_crypto::Algorithm;
-use thrifty_net::tcp::{TcpLatencyModel, TcpSegment};
-use thrifty_net::wire::{FragmentHeader, FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel, UDP_IP_OVERHEAD};
+use thrifty_faults::FaultPlan;
+use thrifty_net::tcp::TcpLatencyModel;
+use thrifty_net::wire::{FRAG_HEADER_LEN, RTP_HEADER_LEN};
+use thrifty_net::UDP_IP_OVERHEAD;
 use thrifty_sim::fountain::{run_pipeline_fountain_metered, FountainConfig};
-use thrifty_sim::pipeline::{run_pipeline_metered, AirChannel, InputFrame, PipelineConfig};
+use thrifty_sim::pipeline::{
+    run_pipeline_metered, AirChannel, InputFrame, PipelineConfig, Reconstruction,
+};
+use thrifty_sim::tcp::{run_pipeline_tcp, TcpConfig};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::nal::{parse_annex_b, write_annex_b};
+use thrifty_video::nal::write_annex_b;
 use thrifty_video::quality::{measure_quality, ConcealingDecoder};
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
 use thrifty_video::{FrameType, MotionLevel};
@@ -51,11 +52,9 @@ use thrifty_video::{FrameType, MotionLevel};
 use crate::parallel::par_map;
 use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
 
-/// GOP structure of the protocol-matrix clip (one source block per GOP).
-const GOP: usize = 10;
-/// IP header the TCP segments ride in (UDP paths use [`UDP_IP_OVERHEAD`];
-/// [`TcpSegment::emit`] already carries the 24-byte TCP header).
-const IP_HEADER_LEN: usize = 20;
+/// GOP structure of the clip every self-verifying matrix transmits (one
+/// source block per GOP on the fountain path).
+pub(crate) const GOP: usize = 10;
 /// Coded symbol payload length — small enough that a GOP block spans
 /// dozens of symbols, so burst dwells average out inside one block.
 pub(crate) const SYMBOL_LEN: usize = 500;
@@ -70,7 +69,7 @@ const DECODE_FAILURE_TARGET: f64 = 0.02;
 /// The three transport scenarios of the matrix, in row-block order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
-    /// The threaded RTP/UDP real-bytes pipeline (PR 2).
+    /// The RTP/UDP real-bytes pipeline (PR 2).
     Udp,
     /// The §6.4 marker-option TCP framing with retransmission (PR 3).
     Tcp,
@@ -142,27 +141,6 @@ impl LossPoint {
         }
     }
 
-    /// The matching [`LossChannel`] for the TCP segment harness.
-    fn loss_channel(self) -> EitherChannel {
-        match self.air() {
-            (loss, AirChannel::Iid) => EitherChannel::Iid(BernoulliChannel::new(1.0 - loss)),
-            (
-                _,
-                AirChannel::Burst {
-                    p_gb,
-                    p_bg,
-                    good_success,
-                    bad_success,
-                },
-            ) => EitherChannel::Burst(GilbertElliottChannel::new(
-                p_gb,
-                p_bg,
-                good_success,
-                bad_success,
-            )),
-        }
-    }
-
     /// The analytic per-symbol delivery process (the overhead-vs-loss term).
     fn analytic(self) -> FountainChannel {
         match self.air() {
@@ -181,29 +159,6 @@ impl LossPoint {
                 good_success,
                 bad_success,
             },
-        }
-    }
-}
-
-/// Static dispatch over the two loss channels (the trait is not
-/// object-safe: `transmit` is generic over the RNG).
-pub(crate) enum EitherChannel {
-    Iid(BernoulliChannel),
-    Burst(GilbertElliottChannel),
-}
-
-impl LossChannel for EitherChannel {
-    fn transmit<R: rand::Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        match self {
-            EitherChannel::Iid(c) => c.transmit(rng),
-            EitherChannel::Burst(c) => c.transmit(rng),
-        }
-    }
-
-    fn success_rate(&self) -> f64 {
-        match self {
-            EitherChannel::Iid(c) => c.success_rate(),
-            EitherChannel::Burst(c) => c.success_rate(),
         }
     }
 }
@@ -252,8 +207,8 @@ impl CellRun {
     }
 }
 
-/// The synthetic coded stream every cell transmits (deterministic; same
-/// shape as the fault matrix's).
+/// The synthetic coded stream every cell of the fault, protocol and chaos
+/// matrices transmits (deterministic).
 pub(crate) fn stream(frames: usize) -> Vec<InputFrame> {
     (0..frames)
         .map(|i| {
@@ -299,214 +254,16 @@ fn cell_seed(proto: usize, point: usize, policy: usize) -> u64 {
         ^ (policy as u64).wrapping_mul(0x85EB_CA6B)
 }
 
-/// One RTP/UDP cell: the threaded pipeline, no retransmission — losses
-/// surface as missing fragments.
-fn run_udp(
-    input: &[InputFrame],
-    point: LossPoint,
-    policy: Policy,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> CellRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { point.air() };
-    let config = PipelineConfig {
-        policy,
-        loss_prob,
-        channel,
-        seed,
-        ..PipelineConfig::default()
-    };
-    let mtu = config.mtu_payload;
-    let out = run_pipeline_metered(input.to_vec(), config, metrics);
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
+/// Per-frame exact-recovery flags for `frames` frames, index = frame
+/// number.
+pub(crate) fn received_flags(frames: usize, receiver: &Reconstruction) -> Vec<bool> {
+    let mut received = vec![false; frames];
+    for &f in &receiver.frames_ok {
+        if f < frames {
             received[f] = true;
         }
     }
-    // Media bytes on the air: every frame's Annex-B stream is chunked at
-    // the MTU; each packet pays the RTP + fragment headers and UDP/IP.
-    let bytes_on_air: u64 = input
-        .iter()
-        .map(|f| {
-            let len = annex_b_len(f);
-            let packets = len.div_ceil(mtu);
-            (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
-        })
-        .sum();
-    let delivered_bytes = delivered_media_bytes(input, &received);
-    CellRun {
-        sent: out.packets_sent,
-        bytes_on_air,
-        delivered_bytes,
-        stalls: 0,
-        received,
-    }
-}
-
-/// One HTTP/TCP cell: frame fragments ride [`TcpSegment`]s with the marker
-/// option; segments the channel loses are retransmitted until delivered,
-/// and every attempt is billed to the air. Policy-selected frames are
-/// really encrypted (the marker drives the receiver's decryption), with
-/// the per-frame policy draw mirroring the RTP encryptor's stream.
-fn run_tcp(
-    input: &[InputFrame],
-    point: LossPoint,
-    policy: Policy,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> CellRun {
-    let cipher = thrifty_crypto::SegmentCipher::new(policy.algorithm, &[0x42; 32])
-        .expect("32-byte key fits the Table 1 ciphers");
-    let originals: BTreeMap<usize, Vec<u8>> = input
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
-
-    // Producer side: per-frame policy draw (same stream discipline as the
-    // RTP/UDP encryptor), then segmentation.
-    let mut policy_rng = StdRng::seed_from_u64(seed);
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut seg_index: u32 = 0;
-    for frame in input {
-        let unit: f64 = rand::Rng::gen_range(&mut policy_rng, 0.0..1.0);
-        let encrypt = policy.mode.should_encrypt(frame.ftype, unit);
-        let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
-        let chunks: Vec<&[u8]> = annex_b.chunks(1400).collect();
-        let total = chunks.len() as u16;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut payload = Vec::with_capacity(FRAG_HEADER_LEN + chunk.len());
-            payload
-                .extend_from_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
-            payload.extend_from_slice(chunk);
-            if encrypt {
-                cipher.encrypt_segment(seg_index as u64, &mut payload[FRAG_HEADER_LEN..]);
-            }
-            wire.push(
-                TcpSegment {
-                    src_port: 5004,
-                    dst_port: 5004,
-                    seq: seg_index,
-                    ack: 0,
-                    encrypted_marker: encrypt,
-                    payload,
-                }
-                .emit(),
-            );
-            seg_index += 1;
-        }
-    }
-    let sent = wire.len();
-
-    // The channel: every attempt (first copy and retransmission alike)
-    // burns air bytes; the segment is only consumed once it gets through.
-    let mut chan = if clean {
-        EitherChannel::Iid(BernoulliChannel::new(1.0))
-    } else {
-        point.loss_channel()
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7C9);
-    let retransmissions = metrics.counter("net.tcp.retransmissions");
-    let mut stalls = 0usize;
-    let mut bytes_on_air: u64 = 0;
-    let mut store: BTreeMap<usize, BTreeMap<u16, Vec<u8>>> = BTreeMap::new();
-    let mut totals: BTreeMap<usize, u16> = BTreeMap::new();
-    for segment in wire {
-        let attempt_bytes = (segment.len() + IP_HEADER_LEN) as u64;
-        bytes_on_air += attempt_bytes;
-        while !chan.transmit(&mut rng) {
-            // Reliable transport: one RTO of idle, then try again.
-            retransmissions.inc();
-            stalls += 1;
-            bytes_on_air += attempt_bytes;
-        }
-        let Ok(seg) = TcpSegment::parse(&segment) else {
-            continue; // unreachable: we emitted it ourselves
-        };
-        let mut payload = seg.payload;
-        if seg.encrypted_marker {
-            cipher.decrypt_segment(seg.seq as u64, &mut payload[FRAG_HEADER_LEN..]);
-        }
-        let Ok((fh, body)) = FragmentHeader::parse(&payload) else {
-            continue;
-        };
-        totals.insert(fh.frame as usize, fh.total);
-        store
-            .entry(fh.frame as usize)
-            .or_default()
-            .insert(fh.frag, body.to_vec());
-    }
-
-    // Reassembly: a frame is intact iff every fragment arrived and the
-    // concatenation parses back to the original NAL payload byte-for-byte.
-    let mut received = vec![false; input.len()];
-    for (&frame, original) in &originals {
-        let complete = totals.get(&frame).is_some_and(|&total| {
-            store
-                .get(&frame)
-                .is_some_and(|frags| frags.len() == total as usize)
-        });
-        if !complete {
-            continue;
-        }
-        let mut annex_b = Vec::new();
-        for chunk in store[&frame].values() {
-            annex_b.extend_from_slice(chunk);
-        }
-        if let Ok(units) = parse_annex_b(&annex_b) {
-            if units.len() == 1 && &units[0].payload == original {
-                received[frame] = true;
-            }
-        }
-    }
-    let delivered_bytes = delivered_media_bytes(input, &received);
-    CellRun {
-        sent,
-        bytes_on_air,
-        delivered_bytes,
-        stalls,
-        received,
-    }
-}
-
-/// One fountain cell: each GOP rides `k(1+ε)` LT symbols; undecoded
-/// blocks surface as missing frames (no retransmission).
-fn run_fountain(
-    input: &[InputFrame],
-    point: LossPoint,
-    policy: Policy,
-    seed: u64,
-    overhead: f64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> CellRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { point.air() };
-    let config = FountainConfig {
-        policy,
-        symbol_len: SYMBOL_LEN,
-        overhead,
-        loss_prob,
-        seed,
-        channel,
-    };
-    let out = run_pipeline_fountain_metered(input, &config, metrics)
-        .expect("matrix channels and policies are valid");
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
-            received[f] = true;
-        }
-    }
-    let delivered_bytes = delivered_media_bytes(input, &received);
-    CellRun {
-        sent: out.symbols_sent,
-        bytes_on_air: out.bytes_on_air,
-        delivered_bytes,
-        stalls: 0,
-        received,
-    }
+    received
 }
 
 /// Annex-B bytes of the byte-identically recovered frames.
@@ -529,12 +286,66 @@ struct CellSpec {
     overhead: f64,
 }
 
+/// One cell on its channel point, or on a lossless channel for the clean
+/// twin. RTP/UDP abandons lost packets and undecoded fountain blocks
+/// surface as missing frames; TCP retransmits every lost segment until it
+/// gets through, each attempt billed to the air and each retransmission
+/// one RTO stall.
 fn run_cell(input: &[InputFrame], spec: CellSpec, clean: bool, metrics: &MetricsRegistry) -> CellRun {
     let CellSpec { proto, point, policy, seed, overhead } = spec;
-    match proto {
-        ProtocolKind::Udp => run_udp(input, point, policy, seed, clean, metrics),
-        ProtocolKind::Tcp => run_tcp(input, point, policy, seed, clean, metrics),
-        ProtocolKind::Fountain => run_fountain(input, point, policy, seed, overhead, clean, metrics),
+    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { point.air() };
+    let (sent, bytes_on_air, stalls, receiver) = match proto {
+        ProtocolKind::Udp => {
+            let config = PipelineConfig {
+                policy,
+                loss_prob,
+                channel,
+                seed,
+                ..PipelineConfig::default()
+            };
+            let mtu = config.mtu_payload;
+            let out = run_pipeline_metered(input.to_vec(), config, metrics);
+            // Media bytes on the air: every frame's Annex-B stream is
+            // chunked at the MTU; each packet pays the RTP + fragment
+            // headers and UDP/IP.
+            let bytes_on_air: u64 = input
+                .iter()
+                .map(|f| {
+                    let len = annex_b_len(f);
+                    let packets = len.div_ceil(mtu);
+                    (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
+                })
+                .sum();
+            (out.packets_sent, bytes_on_air, 0, out.receiver)
+        }
+        ProtocolKind::Tcp => {
+            let config = TcpConfig { policy, loss_prob, seed, channel };
+            let out = run_pipeline_tcp(input, &config, &FaultPlan::default(), metrics)
+                .expect("matrix channels and policies are valid");
+            let stalls = out.retransmissions() as usize;
+            (out.segments_sent, out.bytes_on_air(), stalls, out.receiver)
+        }
+        ProtocolKind::Fountain => {
+            let config = FountainConfig {
+                policy,
+                symbol_len: SYMBOL_LEN,
+                overhead,
+                loss_prob,
+                seed,
+                channel,
+            };
+            let out = run_pipeline_fountain_metered(input, &config, metrics)
+                .expect("matrix channels and policies are valid");
+            (out.symbols_sent, out.bytes_on_air, 0, out.receiver)
+        }
+    };
+    let received = received_flags(input.len(), &receiver);
+    CellRun {
+        sent,
+        bytes_on_air,
+        delivered_bytes: delivered_media_bytes(input, &received),
+        stalls,
+        received,
     }
 }
 
@@ -860,15 +671,21 @@ mod tests {
     fn tcp_cells_retransmit_and_stay_complete() {
         let input = stream(40);
         let metrics = MetricsRegistry::enabled();
-        let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
-        let run = run_tcp(&input, LossPoint::DeepFade, policy, 9, false, &metrics);
+        let spec = CellSpec {
+            proto: ProtocolKind::Tcp,
+            point: LossPoint::DeepFade,
+            policy: Policy::new(Algorithm::Aes256, EncryptionMode::IFrames),
+            seed: 9,
+            overhead: 0.0,
+        };
+        let run = run_cell(&input, spec, false, &metrics);
         assert_eq!(run.frames_intact(), 40);
         assert!(
             metrics.snapshot().counter("net.tcp.retransmissions") > 0,
             "a deep fade must force retransmissions"
         );
         // Retransmissions cost air bytes beyond the first copies.
-        let clean = run_tcp(&input, LossPoint::DeepFade, policy, 9, true, &MetricsRegistry::disabled());
+        let clean = run_cell(&input, spec, true, &MetricsRegistry::disabled());
         assert!(run.bytes_on_air > clean.bytes_on_air);
     }
 }

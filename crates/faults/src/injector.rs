@@ -1,10 +1,10 @@
-//! Runtime fault injectors, split along the pipeline's thread boundaries.
+//! Runtime fault injectors, split along the pipeline's stages.
 //!
-//! The threaded testbed consumes faults from three places: the **air**
+//! The real-bytes transports consume faults in three places: the **air**
 //! (corruption, truncation, duplication, reordering, burst loss), the
 //! **receiver** (stale-key decryption) and the **producer** (bounded-queue
-//! overflow). Each half owns the RNG streams of exactly the sites it
-//! applies, so every stream is consumed by one thread in arrival order and
+//! overflow). Each part owns the RNG streams of exactly the sites it
+//! applies, so every stream is consumed by one stage in arrival order and
 //! a run is bit-reproducible from `(seed, plan)`.
 //!
 //! All injectors are draw-free when their sites are unarmed: an empty

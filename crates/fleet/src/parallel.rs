@@ -22,8 +22,9 @@ use std::sync::OnceLock;
 /// Work is distributed by an atomic next-index counter, so threads that
 /// finish early steal the remaining cells. Results are written into
 /// per-slot [`OnceLock`]s, which keeps the output order equal to the input
-/// order regardless of completion order. If `f` panics on any item the
-/// panic propagates out of the scope (after the other workers drain).
+/// order regardless of completion order. If `f` panics on any item, the
+/// first panicking worker's payload is re-raised on the caller once every
+/// worker has stopped, so the caller sees the original panic message.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -43,16 +44,31 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Each index is claimed exactly once, so `set` cannot fail;
-                // the Err arm only exists because OnceLock returns the value.
-                let _ = slots[i].set(f(&items[i]));
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // Each index is claimed exactly once, so `set` cannot
+                    // fail; the Err arm only exists because OnceLock
+                    // returns the value.
+                    let _ = slots[i].set(f(&items[i]));
+                })
+            })
+            .collect();
+        // Joining every handle here, rather than letting the scope do it,
+        // keeps the panic payload: the scope would re-panic with a generic
+        // "a scoped thread panicked" message instead.
+        let mut first_panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
     slots

@@ -4,10 +4,11 @@
 //! This is the paper's Table 1 boundary as a machine-checked contract.
 //! Within `crates/sim` and `crates/net`, a value *originating* from a
 //! NAL/frame serialiser (`write_annex_b`, `to_rbsp`) is tracked through
-//! local bindings, buffer-absorbing mutations (`put_slice`, `extend`, …)
-//! and loop bindings; if it reaches a wire-emit sink (`.send(…)`,
-//! `.write_into(…)`, `.emit(…)`) without an interposed
-//! `SegmentCipher::encrypt*` call, that sink is a finding.
+//! local bindings, struct literals, buffer-absorbing mutations
+//! (`put_slice`, `extend`, …) and loop bindings; if it reaches a wire-emit
+//! sink (`.send(…)`, `.write_into(…)`, `.emit(…)` — as an argument or as
+//! the receiver) without an interposed `SegmentCipher::encrypt*` call, that
+//! sink is a finding.
 //!
 //! The analysis is intraprocedural, linear and conservative: at every
 //! block close, a variable tainted in *either* the outer pre-state or the
@@ -86,9 +87,23 @@ fn scan_fn(path: &str, code: &[Tok], body: (usize, usize), out: &mut Vec<Finding
     let mut stack: Vec<State> = Vec::new();
     let mut state: State = State::new();
     let mut stmt: Vec<usize> = Vec::new();
+    // Brace depth inside a struct literal (`Segment { payload, .. }`): its
+    // braces are part of the expression, so its fields stay in the
+    // statement and a `let` binding inherits their taint.
+    let mut literal = 0usize;
     let mut j = open + 1;
     while j < close {
         let t = &code[j];
+        if literal > 0 || (t.text == "{" && opens_struct_literal(code, &stmt)) {
+            match t.text.as_str() {
+                "{" => literal += 1,
+                "}" => literal -= 1,
+                _ => {}
+            }
+            stmt.push(j);
+            j += 1;
+            continue;
+        }
         match t.text.as_str() {
             "{" => {
                 // Sinks can live in the header itself:
@@ -125,11 +140,36 @@ fn scan_fn(path: &str, code: &[Tok], body: (usize, usize), out: &mut Vec<Finding
     process_stmt(path, code, &stmt, &mut state, out);
 }
 
+/// Does a `{` after `stmt` open a struct literal rather than a block? Yes
+/// when it follows a type-like (capitalised) path in an expression
+/// statement; control-flow headers and item declarations open blocks.
+fn opens_struct_literal(code: &[Tok], stmt: &[usize]) -> bool {
+    const BLOCK_HEADS: &[&str] = &[
+        "if", "while", "for", "match", "loop", "else", "unsafe", "impl", "struct", "enum",
+        "trait", "fn", "mod",
+    ];
+    let (Some(&first), Some(&last)) = (stmt.first(), stmt.last()) else {
+        return false;
+    };
+    let prev = &code[last];
+    prev.kind == TokKind::Ident
+        && prev.text.starts_with(|c: char| c.is_ascii_uppercase())
+        && !BLOCK_HEADS.contains(&code[first].text.as_str())
+}
+
 /// Idents mentioned in a token-index slice.
+/// A struct-literal field name (`{ payload: …` or `, payload: …`) names a
+/// field, not a value, and is skipped.
 fn idents<'a>(code: &'a [Tok], toks: &[usize]) -> Vec<&'a str> {
+    let text = |k: usize| toks.get(k).map(|&i| code[i].text.as_str());
     toks.iter()
-        .filter(|&&i| code[i].kind == TokKind::Ident)
-        .map(|&i| code[i].text.as_str())
+        .enumerate()
+        .filter(|&(k, &i)| {
+            let field_name = text(k + 1) == Some(":")
+                && k.checked_sub(1).and_then(text).is_some_and(|p| p == "{" || p == ",");
+            code[i].kind == TokKind::Ident && !field_name
+        })
+        .map(|(_, &i)| code[i].text.as_str())
         .collect()
 }
 
@@ -182,9 +222,17 @@ fn check_sinks(path: &str, code: &[Tok], stmt: &[usize], state: &State, out: &mu
                 args.push(a);
             }
         }
-        let hit = idents(code, &args)
-            .iter()
-            .find_map(|n| state.get(*n).map(|o| (n.to_string(), o.clone())))
+        // A tainted receiver is emitted too: `segment.emit()`.
+        let receiver = k
+            .checked_sub(2)
+            .and_then(|r| stmt.get(r))
+            .map(|&r| &code[r])
+            .filter(|r| r.kind == TokKind::Ident)
+            .map(|r| r.text.as_str());
+        let hit = receiver
+            .into_iter()
+            .chain(idents(code, &args))
+            .find_map(|n| state.get(n).map(|o| (n.to_string(), o.clone())))
             .or_else(|| {
                 call_in(code, &args, SOURCES)
                     .map(|(what, line)| (format!("{what}(…)"), Origin { what, line }))

@@ -147,10 +147,16 @@ fn plaintext_escape_flags_unencrypted_sinks_and_conditional_sanitisation() {
     // Line 7: tainted buffer straight to the channel. Line 17: sanitised
     // only inside an `if` — the conservative join keeps it tainted, so the
     // selective-encryption path must carry a waiver. Line 12 (unconditional
-    // encrypt_segment before send) is clean.
+    // encrypt_segment before send) is clean. Line 25: a struct literal
+    // carries its tainted field into the binding, which is emitted as the
+    // sink's receiver; line 24 emits a literal built from clean fields.
     assert_eq!(
         got,
-        vec![(7, "plaintext-escape"), (17, "plaintext-escape")],
+        vec![
+            (7, "plaintext-escape"),
+            (17, "plaintext-escape"),
+            (25, "plaintext-escape")
+        ],
         "findings: {:?}",
         report.findings
     );
@@ -160,6 +166,9 @@ fn plaintext_escape_flags_unencrypted_sinks_and_conditional_sanitisation() {
     assert!(report.findings[1]
         .message
         .contains("`cond` carries plaintext payload bytes (from `write_annex_b` at line 13) into `.send(…)`"));
+    assert!(report.findings[2]
+        .message
+        .contains("`segment` carries plaintext payload bytes (from `write_annex_b` at line 21) into `.emit(…)`"));
 }
 
 // ---- lock-order-inversion ------------------------------------------------
@@ -299,7 +308,7 @@ fn new_tier_json_is_byte_identical_across_scans() {
     let a = scan(&files).render_json();
     let b = scan(&files).render_json();
     assert_eq!(a, b, "double scan must be byte-identical");
-    assert!(a.contains("\"finding_count\": 5"), "json: {a}");
+    assert!(a.contains("\"finding_count\": 6"), "json: {a}");
     assert!(a.contains("det-taint"));
     assert!(a.contains("plaintext-escape"));
     assert!(a.contains("lock-order-inversion"));

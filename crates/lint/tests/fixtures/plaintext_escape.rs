@@ -16,3 +16,11 @@ pub fn leak(tx: &Sender, nal: &[u8], cipher: &SegmentCipher) {
     }
     let _ = tx.send(cond);
 }
+
+pub fn leak_segment(nal: &[u8]) -> Vec<u8> {
+    let payload = write_annex_b(nal);
+    let segment = TcpSegment { seq: 1, payload };
+    let header = TcpSegment { seq: 2, payload: Vec::new() };
+    let _ = header.emit();
+    segment.emit()
+}

@@ -284,7 +284,8 @@ pub const FRAG_HEADER_LEN: usize = 8;
 /// play in RFC 6184: which frame a fragment belongs to, its position and
 /// the total fragment count, so reassembly never depends on arrival order.
 ///
-/// Carried at the front of every RTP payload the threaded testbed emits.
+/// Carried at the front of every RTP payload and TCP segment payload the
+/// real-bytes transports emit.
 /// Parsing is fully defensive: hostile or corrupted bytes yield a
 /// descriptive [`WireError`], never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,7 +10,7 @@
 //! make identical encrypt decisions for a given `(seed, frames)` pair and
 //! can be compared differentially.
 //!
-//! Erasure semantics mirror the threaded testbed: a symbol whose
+//! Erasure semantics mirror the RTP/UDP testbed: a symbol whose
 //! [`FountainHeader`] fails to parse is a counted erasure, and every
 //! source symbol still missing when the stream ends is a counted erasure
 //! feeding frame damage (and from there the distortion model). The
@@ -31,22 +31,27 @@ use thrifty_analytic::policy::Policy;
 use thrifty_crypto::SegmentCipher;
 use thrifty_fec::{BlockEncoder, PeelingDecoder};
 use thrifty_net::wire::FountainHeader;
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel, UDP_IP_OVERHEAD};
+use thrifty_net::{LossChannel, UDP_IP_OVERHEAD};
 use thrifty_telemetry::MetricsRegistry;
 use thrifty_video::nal::{parse_annex_b, write_annex_b};
 use thrifty_video::FrameType;
 
-use crate::pipeline::{AirChannel, InputFrame, PipelineError, Reconstruction, SESSION_KEY};
+use crate::pipeline::{
+    AirChannel, InputFrame, LossModel, PipelineError, Reconstruction, SESSION_KEY,
+};
 
 /// Configuration of a fountain transport run.
 #[derive(Debug, Clone, Copy)]
 pub struct FountainConfig {
     /// The selection policy (cipher + packet rule).
     pub policy: Policy,
-    /// Coded symbol payload length, bytes (excluding the 16-byte header).
+    /// Coded symbol payload length, bytes (excluding the 16-byte header);
+    /// the wire header carries it as a `u16`, so it must lie in
+    /// `1..=u16::MAX`.
     pub symbol_len: usize,
     /// Repair overhead ε: the sender emits `k + ceil(k·ε)` symbols per
-    /// block. `0.0` sends exactly the systematic prefix.
+    /// block. `0.0` sends exactly the systematic prefix; it must be finite
+    /// and non-negative.
     pub overhead: f64,
     /// Independent per-symbol loss probability ([`AirChannel::Iid`]).
     pub loss_prob: f64,
@@ -125,18 +130,41 @@ pub struct FountainOutcome {
     pub eavesdropper_undecryptable: u64,
 }
 
-/// Statically-dispatched channel pair (mirrors the bench fault matrix).
-enum AirLoss {
-    Iid(BernoulliChannel),
-    Burst(GilbertElliottChannel),
+/// Why a [`FountainConfig`] was rejected before any work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FountainConfigError {
+    /// `symbol_len` outside `1..=u16::MAX`: the wire header could not
+    /// carry it.
+    SymbolLen(usize),
+    /// `overhead` negative or not finite.
+    Overhead(f64),
 }
 
-impl AirLoss {
-    fn transmit(&mut self, rng: &mut StdRng) -> bool {
+impl std::fmt::Display for FountainConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AirLoss::Iid(c) => c.transmit(rng),
-            AirLoss::Burst(c) => c.transmit(rng),
+            FountainConfigError::SymbolLen(len) => {
+                write!(f, "symbol length {len} outside 1..={}", u16::MAX)
+            }
+            FountainConfigError::Overhead(eps) => {
+                write!(f, "repair overhead {eps} must be finite and non-negative")
+            }
         }
+    }
+}
+
+impl std::error::Error for FountainConfigError {}
+
+impl FountainConfig {
+    /// Check the fields the wire format and the repair count depend on.
+    fn validate(&self) -> Result<(), FountainConfigError> {
+        if u16::try_from(self.symbol_len).map_or(true, |len| len == 0) {
+            return Err(FountainConfigError::SymbolLen(self.symbol_len));
+        }
+        if !self.overhead.is_finite() || self.overhead < 0.0 {
+            return Err(FountainConfigError::Overhead(self.overhead));
+        }
+        Ok(())
     }
 }
 
@@ -176,23 +204,11 @@ pub fn run_pipeline_fountain_metered(
     config: &FountainConfig,
     metrics: &MetricsRegistry,
 ) -> Result<FountainOutcome, PipelineError> {
+    config.validate().map_err(PipelineError::InvalidFountain)?;
     let cipher = SegmentCipher::new(config.policy.algorithm, &SESSION_KEY)
         .map_err(PipelineError::KeyRejected)?;
-    let mut air = match config.channel {
-        AirChannel::Iid => AirLoss::Iid(
-            BernoulliChannel::try_new(1.0 - config.loss_prob)
-                .map_err(PipelineError::InvalidChannel)?,
-        ),
-        AirChannel::Burst {
-            p_gb,
-            p_bg,
-            good_success,
-            bad_success,
-        } => AirLoss::Burst(
-            GilbertElliottChannel::try_new(p_gb, p_bg, good_success, bad_success)
-                .map_err(PipelineError::InvalidChannel)?,
-        ),
-    };
+    let mut air = LossModel::try_new(config.loss_prob, config.channel)
+        .map_err(PipelineError::InvalidChannel)?;
 
     let sent_counter = metrics.counter("fountain.symbols_sent");
     let lost_counter = metrics.counter("fountain.symbols_lost");
@@ -246,9 +262,7 @@ pub fn run_pipeline_fountain_metered(
     for (block_id, block) in blocks.iter().enumerate() {
         let block_id = block_id as u32;
         let encoder = BlockEncoder::new(&block.data, config.symbol_len, config.seed, block_id)
-            .map_err(|_| PipelineError::StagePanicked {
-                stage: "fountain-encoder",
-            })?;
+            .map_err(PipelineError::Fec)?;
         let k = encoder.k();
         let repair = (k as f64 * config.overhead).ceil() as usize;
         for symbol_id in 0..(k + repair) as u32 {
@@ -283,9 +297,7 @@ pub fn run_pipeline_fountain_metered(
                                 config.seed,
                                 h.block,
                             )
-                            .map_err(|_| PipelineError::StagePanicked {
-                                stage: "fountain-decoder",
-                            })?;
+                            .map_err(PipelineError::Fec)?;
                             decoders.entry(h.block).or_insert(d)
                         }
                     };
@@ -502,6 +514,48 @@ mod tests {
         assert_eq!(a.symbols_lost, b.symbols_lost);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.bytes_on_air, b.bytes_on_air);
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_before_any_work() {
+        let cases = [
+            (0, 0.25, "SymbolLen(0)"),
+            (70_000, 0.25, "SymbolLen(70000)"),
+            (1200, f64::NAN, "Overhead(NaN)"),
+            (1200, -0.5, "Overhead(-0.5)"),
+        ];
+        for (symbol_len, overhead, want) in cases {
+            let cfg = FountainConfig {
+                symbol_len,
+                overhead,
+                ..config(EncryptionMode::IFrames)
+            };
+            let metrics = MetricsRegistry::enabled();
+            let err = run_pipeline_fountain_metered(&stream(10), &cfg, &metrics)
+                .expect_err("invalid config must be rejected");
+            match err {
+                PipelineError::InvalidFountain(e) => assert_eq!(format!("{e:?}"), want),
+                other => panic!("{want}: expected InvalidFountain, got {other}"),
+            }
+            // Rejected before any work: not one symbol went on the air.
+            assert_eq!(metrics.snapshot().counter("fountain.symbols_sent"), 0, "{want}");
+        }
+    }
+
+    #[test]
+    fn oversized_blocks_surface_the_coder_error() {
+        // A 70 kB frame at one byte per symbol needs more source symbols
+        // than the u16 header field can count.
+        let frames = vec![InputFrame::synthetic(0, FrameType::I, 70_000)];
+        let cfg = FountainConfig {
+            symbol_len: 1,
+            ..config(EncryptionMode::None)
+        };
+        let err = run_pipeline_fountain(&frames, &cfg).expect_err("block too large");
+        assert!(
+            matches!(err, PipelineError::Fec(thrifty_fec::FecError::TooManySymbols { .. })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,27 +13,31 @@
 //!   policy, transport) configuration run over multiple trials, producing
 //!   delay, PSNR, MOS and power rows directly comparable to the analytic
 //!   predictions.
-//! * [`pipeline`] — a *real-bytes* threaded testbed mirroring the Android
-//!   app's producer/consumer design (GPAC-style reader thread, encryptor,
-//!   RTP packetisation, channel, receiver + eavesdropper reconstruction)
-//!   using the actual ciphers and NAL bitstreams, built on crossbeam
-//!   channels and parking_lot locks.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
+//! * [`pipeline`] — the *real-bytes* RTP/UDP testbed mirroring the Android
+//!   app's Figure 3 design (queue admission, encryptor, RTP packetisation
+//!   and air on a sender thread; receiver + eavesdropper reconstruction on
+//!   the caller's) using the actual ciphers and NAL bitstreams, plus the
+//!   loss model and fragment reassembler every transport shares.
+//! * [`tcp`] — the HTTP/TCP scenario with real bytes: marker-option
+//!   segments, retransmission until delivery, and the per-segment loss
+//!   trace callers bill stalls from.
 //! * [`fountain`] — the third protocol scenario: each GOP rides LT
 //!   fountain symbols (`thrifty-fec`) instead of RTP/UDP or HTTP/TCP;
 //!   undecoded source symbols become counted erasures feeding the
 //!   distortion model.
+
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod experiment;
 pub mod fountain;
 pub mod pipeline;
 pub mod sender;
 pub mod stats;
+pub mod tcp;
 
 pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, Transport};
 pub use fountain::{run_pipeline_fountain, run_pipeline_fountain_metered, FountainConfig, FountainOutcome};
+pub use tcp::{run_pipeline_tcp, TcpConfig, TcpOutcome};
 pub use sender::{PacketRecord, SenderSim, SenderSummary};
 pub use stats::Summary;

@@ -1,29 +1,37 @@
-//! Real-bytes threaded testbed — the Android app of Section 5 in miniature.
+//! Real-bytes testbed — the Android app of Section 5 in miniature.
 //!
-//! Mirrors Figure 3's block diagram with actual data: a **producer** thread
-//! reads coded frames (real Annex-B NAL units) into a bounded queue; a
-//! **consumer/encryptor** thread pops each frame, fragments it to MTU-sized
-//! segments, encrypts the segments selected by the policy with the real
-//! cipher (OFB per segment, exactly like the paper's GPAC-based app), sets
-//! the RTP **marker bit** on encrypted packets, and transmits over a lossy
-//! channel; a **receiver** thread decrypts marked packets and reassembles
-//! frames; an **eavesdropper** thread gets a copy of every packet but must
-//! treat marked ones as erasures.
+//! Mirrors Figure 3's block diagram with actual data, as plain stage
+//! functions on two threads. A spawned **sender** thread runs, per frame
+//! and in order, queue admission (the plan's overflow site), the
+//! **encryptor** — fragment the frame's Annex-B NAL unit to MTU-sized
+//! segments, encrypt the segments selected by the policy with the real
+//! cipher (OFB per segment, exactly like the paper's GPAC-based app) and set
+//! the RTP **marker bit** on encrypted packets — and the **air**: loss, then
+//! the plan's in-flight faults. Each delivered packet crosses one
+//! `std::sync::mpsc` channel to the calling thread, which hands it by
+//! reference to the **eavesdropper** and then to the **receiver**. Each
+//! observer owns its fragment store (a `Reassembler`); the receiver decrypts
+//! marked packets in place, the eavesdropper must treat them as erasures.
+//!
+//! ## Why two threads
+//!
+//! Every output is seeded and byte-compared, so the second thread buys no
+//! behaviour. It buys time: the receiver's decryption runs beside the
+//! sender's encryption, the one overlap that pays — most visibly under
+//! 3DES, whose I-frame-only policy spends most of a run in the cipher on
+//! both sides. Every stage draws from its own seeded stream, so the split
+//! changes no draw.
 //!
 //! ## Zero-copy packet path
 //!
-//! The sender side is allocation- and copy-thrifty, matching the paper's
-//! resource-constrained handset: each packet is assembled **once** into a
-//! [`PooledBuf`](bytes::PooledBuf) from a shared [`bytes::BufferPool`] —
-//! header room reserved up front, fragment header and payload behind it —
-//! then encrypted *in place* as one batched keystream train per frame
+//! Each packet is assembled **once** into one allocation — RTP header room
+//! reserved up front, fragment header and payload behind it — then
+//! encrypted *in place* as one batched keystream train per frame
 //! ([`MeteredSegmentCipher::encrypt_train`](thrifty_crypto::MeteredSegmentCipher::encrypt_train),
-//! byte-identical to the historical per-segment OFB), stamped with its RTP
-//! header via [`RtpHeader::write_into`], and sent down the air channel as
-//! the *same allocation*. Packets lost on the air drop back into the pool
-//! for reuse; survivors detach without copying
-//! ([`PooledBuf::into_vec`](bytes::PooledBuf::into_vec)). No payload byte
-//! is copied between assembly and the observers' parsers.
+//! byte-identical to per-segment OFB), stamped with its RTP header via
+//! [`RtpHeader::write_into`], and sent down the channel as the *same
+//! allocation*. The receiver decrypts it in place; each observer copies
+//! only the fragment body it stores.
 //!
 //! Fragments are carried behind a small fragmentation header
 //! ([`FragmentHeader`]: frame index, fragment number, fragment count)
@@ -41,19 +49,19 @@
 //! to the plain path, and any armed plan is bit-reproducible from its
 //! seed.
 
-use bytes::{BufferPool, PooledBuf};
-use crossbeam::channel;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc;
 use thrifty_analytic::policy::Policy;
-use thrifty_crypto::SegmentCipher;
+use thrifty_crypto::{MeteredSegmentCipher, SegmentCipher};
 use thrifty_faults::{FaultPlan, FaultStats, PacketInjector, QueueFaults, ReceiverFaults};
-use thrifty_net::wire::{FragmentHeader, RtpHeader, RtpPacket, FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{GilbertElliottChannel, LossChannel};
+use thrifty_net::wire::{
+    FragmentHeader, RtpHeader, RtpPacket, WireError, FRAG_HEADER_LEN, RTP_HEADER_LEN,
+};
+use thrifty_net::{BernoulliChannel, ChannelError, GilbertElliottChannel, LossChannel};
 use thrifty_recover::{DesyncKind, RecoveryReport, ResyncProtocol};
+use thrifty_telemetry::{Counter, MetricsRegistry};
 use thrifty_video::bitstream::{PictureParameterSet, SequenceParameterSet};
 use thrifty_video::nal::{parse_annex_b, write_annex_b, NalUnit, NalUnitType};
 use thrifty_video::FrameType;
@@ -75,6 +83,49 @@ pub enum AirChannel {
         /// Delivery probability in the Bad state.
         bad_success: f64,
     },
+}
+
+/// The air's loss process, built from a transport's `(loss_prob,
+/// AirChannel)` pair: the one channel type every transport and matrix
+/// draws deliveries from.
+#[derive(Debug, Clone)]
+pub enum LossModel {
+    /// i.i.d. delivery with probability `1 - loss_prob`.
+    Iid(BernoulliChannel),
+    /// Gilbert–Elliott bursty delivery.
+    Burst(GilbertElliottChannel),
+}
+
+impl LossModel {
+    /// Validate the parameters and build the channel.
+    pub fn try_new(loss_prob: f64, channel: AirChannel) -> Result<Self, ChannelError> {
+        match channel {
+            AirChannel::Iid => BernoulliChannel::try_new(1.0 - loss_prob).map(LossModel::Iid),
+            AirChannel::Burst {
+                p_gb,
+                p_bg,
+                good_success,
+                bad_success,
+            } => GilbertElliottChannel::try_new(p_gb, p_bg, good_success, bad_success)
+                .map(LossModel::Burst),
+        }
+    }
+}
+
+impl LossChannel for LossModel {
+    fn transmit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        match self {
+            LossModel::Iid(c) => c.transmit(rng),
+            LossModel::Burst(c) => c.transmit(rng),
+        }
+    }
+
+    fn success_rate(&self) -> f64 {
+        match self {
+            LossModel::Iid(c) => c.success_rate(),
+            LossModel::Burst(c) => c.success_rate(),
+        }
+    }
 }
 
 /// Receiver-side recovery: turn stale-key hits into bounded re-key +
@@ -121,13 +172,6 @@ pub struct PipelineConfig {
     pub loss_prob: f64,
     /// RNG seed for policy draws and losses.
     pub seed: u64,
-    /// Bounded queue depth between producer and encryptor (Figure 3's
-    /// in-memory queue).
-    pub queue_depth: usize,
-    /// Reordering window on the air: packets are released from a shuffle
-    /// buffer of this size (0 = strictly in order). Real WLANs reorder
-    /// across MAC retransmissions; reassembly must not depend on order.
-    pub reorder_window: usize,
     /// The loss process on the air.
     pub channel: AirChannel,
     /// Receiver-side recovery; `None` (the default) reproduces the
@@ -145,8 +189,6 @@ impl Default for PipelineConfig {
             mtu_payload: 1452,
             loss_prob: 0.0,
             seed: 1,
-            queue_depth: 8,
-            reorder_window: 0,
             channel: AirChannel::Iid,
             recovery: None,
         }
@@ -209,15 +251,19 @@ impl ErasureStats {
 ///
 /// Runtime channel hostility is **not** an error — it degrades the
 /// reconstruction and is reported in [`PipelineOutcome`]. Errors are
-/// reserved for invalid setup and for a worker thread dying, which the
+/// reserved for invalid setup and for the sender thread dying, which the
 /// panic-free contract treats as a bug worth surfacing, not unwinding
 /// through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// The fault plan failed validation.
     InvalidPlan(thrifty_faults::PlanError),
-    /// The burst channel parameters failed validation.
+    /// The air channel parameters failed validation.
     InvalidChannel(thrifty_net::ChannelError),
+    /// The fountain configuration failed validation.
+    InvalidFountain(crate::fountain::FountainConfigError),
+    /// The LT coder rejected a source block's geometry.
+    Fec(thrifty_fec::FecError),
     /// The cipher rejected the session key.
     KeyRejected(thrifty_crypto::CryptoError),
     /// A worker thread panicked (a bug — the stages are panic-free by
@@ -233,6 +279,8 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::InvalidPlan(e) => write!(f, "invalid fault plan: {e}"),
             PipelineError::InvalidChannel(e) => write!(f, "invalid air channel: {e}"),
+            PipelineError::InvalidFountain(e) => write!(f, "invalid fountain config: {e}"),
+            PipelineError::Fec(e) => write!(f, "LT coder rejected a block: {e}"),
             PipelineError::KeyRejected(e) => write!(f, "cipher rejected session key: {e}"),
             PipelineError::StagePanicked { stage } => {
                 write!(f, "pipeline stage '{stage}' panicked")
@@ -280,10 +328,76 @@ const SPS_FRAME: u32 = u32::MAX;
 const PPS_FRAME: u32 = u32::MAX - 1;
 
 /// The session key of the threat model's pre-established secret (shared
-/// with the fountain transport scenario in [`crate::fountain`]).
+/// with the fountain and TCP transports).
 pub(crate) const SESSION_KEY: [u8; 32] = [0x42u8; 32];
 /// An out-of-date key for the stale-key fault: same length, different bits.
-const STALE_KEY: [u8; 32] = [0xA5u8; 32];
+pub(crate) const STALE_KEY: [u8; 32] = [0xA5u8; 32];
+
+/// A per-frame fragment store: the reassembly every fragment-header
+/// transport shares (both RTP observers and the TCP receiver).
+#[derive(Debug, Default)]
+pub(crate) struct Reassembler {
+    /// Frame index → fragment number → fragment body.
+    fragments: BTreeMap<usize, BTreeMap<u16, Vec<u8>>>,
+    /// Frame index → fragment count announced by its headers.
+    totals: BTreeMap<usize, u16>,
+}
+
+impl Reassembler {
+    /// Store one payload: a [`FragmentHeader`] followed by the fragment
+    /// body. A later copy of the same fragment replaces the earlier one.
+    pub(crate) fn insert(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        let (header, body) = FragmentHeader::parse(payload)?;
+        let frame = header.frame as usize;
+        self.totals.insert(frame, header.total);
+        self.fragments
+            .entry(frame)
+            .or_default()
+            .insert(header.frag, body.to_vec());
+        Ok(())
+    }
+
+    /// The stored fragments of `frame`, concatenated in fragment order.
+    fn annex_b(&self, frame: usize) -> Option<Vec<u8>> {
+        let frags = self.fragments.get(&frame)?;
+        Some(frags.values().flatten().copied().collect())
+    }
+
+    /// Which of `frames` arrived complete and parse back to their original
+    /// NAL payload byte for byte, in frame-index order.
+    pub(crate) fn reconstruct(&self, frames: &[InputFrame]) -> Reconstruction {
+        let originals: BTreeMap<usize, &[u8]> = frames
+            .iter()
+            .map(|f| (f.index, f.nal.payload.as_slice()))
+            .collect();
+        let mut rec = Reconstruction::default();
+        for (frame, original) in originals {
+            let complete = self.totals.get(&frame).is_some_and(|&total| {
+                self.fragments
+                    .get(&frame)
+                    .is_some_and(|frags| frags.len() == usize::from(total))
+            });
+            let intact = complete
+                && self.annex_b(frame).is_some_and(|annex_b| {
+                    let units = parse_annex_b(&annex_b);
+                    matches!(units.as_deref(), Ok([unit]) if unit.payload == original)
+                });
+            if intact {
+                rec.frames_ok.push(frame);
+            } else {
+                rec.frames_damaged.push(frame);
+            }
+        }
+        rec
+    }
+
+    /// The first NAL unit stored under the reserved frame index
+    /// `reserved`, if its fragments parse.
+    fn parameter_set(&self, reserved: u32) -> Option<NalUnit> {
+        let annex_b = self.annex_b(reserved as usize)?;
+        parse_annex_b(&annex_b).ok()?.into_iter().next()
+    }
+}
 
 /// Run the full pipeline over `frames` with real encryption and framing.
 ///
@@ -292,28 +406,23 @@ const STALE_KEY: [u8; 32] = [0xA5u8; 32];
 ///
 /// Equivalent to [`run_pipeline_metered`] with a disabled registry.
 pub fn run_pipeline(frames: Vec<InputFrame>, config: PipelineConfig) -> PipelineOutcome {
-    run_pipeline_metered(
-        frames,
-        config,
-        &thrifty_telemetry::MetricsRegistry::disabled(),
-    )
+    run_pipeline_metered(frames, config, &MetricsRegistry::disabled())
 }
 
 /// Run the full pipeline, counting traffic into `metrics`.
 ///
-/// Counter handles are cloned into the worker threads (they are `Arc`-backed
-/// atomics), so the threaded testbed reports without any extra
-/// synchronisation: `pipeline.packets_sent` / `pipeline.packets_encrypted`
-/// from the encryptor, `net.channel.delivered` / `net.channel.lost` from the
-/// air thread, and real `crypto.{segments,bytes}_{encrypted,decrypted}.*`
-/// counts from the [`MeteredSegmentCipher`](thrifty_crypto::MeteredSegmentCipher)s
-/// on both sides of the channel. Spans are deliberately absent here: the
-/// threaded testbed runs on wall clock, and sim-time spans belong to the
-/// discrete-event side.
+/// Counter handles are `Arc`-backed atomics, so the sender thread reports
+/// without any extra synchronisation: `pipeline.packets_sent` /
+/// `pipeline.packets_encrypted` from the encryptor, `net.channel.delivered`
+/// / `net.channel.lost` from the air, and real
+/// `crypto.{segments,bytes}_{encrypted,decrypted}.*` counts from the
+/// [`MeteredSegmentCipher`]s on both sides of the channel. Spans are
+/// deliberately absent here: sim-time spans belong to the discrete-event
+/// side.
 pub fn run_pipeline_metered(
     frames: Vec<InputFrame>,
     config: PipelineConfig,
-    metrics: &thrifty_telemetry::MetricsRegistry,
+    metrics: &MetricsRegistry,
 ) -> PipelineOutcome {
     match run_pipeline_faulty(frames, config, &FaultPlan::default(), metrics) {
         Ok(outcome) => outcome,
@@ -325,90 +434,191 @@ pub fn run_pipeline_metered(
 ///
 /// The plan's sites are threaded to the stages that own them: corruption,
 /// truncation, duplication, reordering bursts and burst-loss episodes act
-/// on the air; queue overflow acts at the producer's bounded queue; stale
+/// on the air; queue overflow acts at the producer's queue admission; stale
 /// keys act at the receiver's decryptor. Every armed site draws from its
 /// own seeded stream, so the run is **bit-reproducible** from
 /// `(config.seed, plan)`; an **empty plan consumes no randomness** and the
 /// outcome is byte-identical to [`run_pipeline_metered`].
 ///
-/// Channel hostility degrades the output (erasures → damaged frames), it
-/// never panics. `Err` is returned only for invalid setup
+/// Spawns exactly one thread, the sender; the observers run on the calling
+/// thread. Channel hostility degrades the output (erasures → damaged
+/// frames), it never panics. `Err` is returned only for invalid setup
 /// ([`PipelineError::InvalidPlan`], [`PipelineError::InvalidChannel`],
-/// [`PipelineError::KeyRejected`]) or a worker-thread bug
+/// [`PipelineError::KeyRejected`]) or a sender-thread bug
 /// ([`PipelineError::StagePanicked`]).
 pub fn run_pipeline_faulty(
     frames: Vec<InputFrame>,
     config: PipelineConfig,
     plan: &FaultPlan,
-    metrics: &thrifty_telemetry::MetricsRegistry,
+    metrics: &MetricsRegistry,
 ) -> Result<PipelineOutcome, PipelineError> {
     plan.validate().map_err(PipelineError::InvalidPlan)?;
-    // Validate burst parameters up front so the air thread cannot die on a
-    // NaN probability mid-run.
-    let burst_channel = match config.channel {
-        AirChannel::Iid => None,
-        AirChannel::Burst {
-            p_gb,
-            p_bg,
-            good_success,
-            bad_success,
-        } => Some(
-            GilbertElliottChannel::try_new(p_gb, p_bg, good_success, bad_success)
-                .map_err(PipelineError::InvalidChannel)?,
-        ),
-    };
+    // Validate the channel up front so the air cannot die on a NaN
+    // probability mid-run.
+    let loss = LossModel::try_new(config.loss_prob, config.channel)
+        .map_err(PipelineError::InvalidChannel)?;
     let cipher =
         SegmentCipher::new(config.policy.algorithm, &SESSION_KEY).map_err(PipelineError::KeyRejected)?;
     let stale_cipher = SegmentCipher::new(config.policy.algorithm, &STALE_KEY)
         .map_err(PipelineError::KeyRejected)?;
-    let originals: BTreeMap<usize, Vec<u8>> = frames
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
 
-    // Producer → encryptor: the bounded in-memory queue of Figure 3.
-    let (frame_tx, frame_rx) = channel::bounded::<InputFrame>(config.queue_depth);
-    // Encryptor → air: every packet is seen by both observers (broadcast).
-    // Packets travel as pooled buffers — the allocation assembled by the
-    // encryptor is the one the air thread forwards or recycles.
-    let (air_tx, air_rx) = channel::unbounded::<PooledBuf>();
-    // Sized for the largest I-frame train in flight plus slack; overflow
-    // falls back to plain allocation, it never stalls the sender.
-    let pool = BufferPool::new(
-        64,
-        RTP_HEADER_LEN + FRAG_HEADER_LEN + config.mtu_payload,
-    );
+    let sender = Sender {
+        queue: QueueFaults::new(plan, metrics),
+        encryptor: Encryptor {
+            cipher: cipher.clone().metered(metrics),
+            policy: config.policy,
+            mtu_payload: config.mtu_payload,
+            policy_rng: StdRng::seed_from_u64(config.seed),
+            seq: 0,
+            packets_sent: 0,
+            packets_encrypted: 0,
+            sent: metrics.counter("pipeline.packets_sent"),
+            encrypted: metrics.counter("pipeline.packets_encrypted"),
+        },
+        air: Air {
+            loss,
+            loss_prob: config.loss_prob,
+            rng: StdRng::seed_from_u64(config.seed ^ 0xA1B2),
+            injector: PacketInjector::new(plan, RTP_HEADER_LEN, metrics),
+            delivered: metrics.counter("net.channel.delivered"),
+            lost: metrics.counter("net.channel.lost"),
+        },
+    };
+    let mut decryptor = Decryptor {
+        cipher: cipher.metered(metrics),
+        stale_cipher,
+        faults: ReceiverFaults::new(plan, metrics),
+        resync: config.recovery.map(|opts| ResyncState {
+            protocol: ResyncProtocol::new(opts.handshake_packets.max(1)),
+            gop_hint: opts.gop_hint,
+            tick: 0,
+        }),
+    };
+    let mut receiver = Observer::new(metrics.counter("pipeline.erasures.receiver"));
+    let mut eavesdropper = Observer::new(metrics.counter("pipeline.erasures.eavesdropper"));
 
-    let mut queue_faults = QueueFaults::new(plan, metrics);
-    let producer = std::thread::spawn(move || {
-        let mut dropped: Vec<usize> = Vec::new();
-        for f in frames {
-            if !queue_faults.admit() {
+    let (tx, rx) = mpsc::channel::<Vec<u8>>();
+    let frames = frames.as_slice();
+    let sent = std::thread::scope(|scope| {
+        let sender = scope.spawn(move || sender.run(frames, &tx));
+        for mut packet in rx {
+            // The eavesdropper hears the wire bytes before the receiver
+            // decrypts them in place.
+            eavesdropper.hear(&mut packet, None);
+            receiver.hear(&mut packet, Some(&mut decryptor));
+        }
+        sender.join()
+    })
+    .map_err(|_| PipelineError::StagePanicked { stage: "sender" })?;
+
+    let mut faults = sent.faults;
+    faults.merge(&decryptor.faults.stats());
+    let receiver_sps = receiver
+        .store
+        .parameter_set(SPS_FRAME)
+        .filter(|u| u.unit_type == NalUnitType::Sps)
+        .and_then(|u| SequenceParameterSet::from_rbsp(&u.payload).ok());
+    let receiver_pps = receiver
+        .store
+        .parameter_set(PPS_FRAME)
+        .filter(|u| u.unit_type == NalUnitType::Pps)
+        .and_then(|u| PictureParameterSet::from_rbsp(&u.payload).ok());
+    Ok(PipelineOutcome {
+        packets_sent: sent.packets_sent,
+        packets_encrypted: sent.packets_encrypted,
+        receiver: receiver.store.reconstruct(frames),
+        eavesdropper: eavesdropper.store.reconstruct(frames),
+        receiver_sps,
+        receiver_pps,
+        faults,
+        receiver_erasures: receiver.erasures,
+        eavesdropper_erasures: eavesdropper.erasures,
+        frames_dropped_at_queue: sent.frames_dropped_at_queue,
+        recovery: decryptor.resync.map(|rs| rs.protocol.report()),
+    })
+}
+
+/// What the sender thread reports when the stream ends.
+struct SenderReport {
+    packets_sent: usize,
+    packets_encrypted: usize,
+    frames_dropped_at_queue: Vec<usize>,
+    /// The queue's and the air's fault counts.
+    faults: FaultStats,
+}
+
+/// The sender thread's three stages, each owning its seeded stream.
+struct Sender {
+    queue: QueueFaults,
+    encryptor: Encryptor,
+    air: Air,
+}
+
+impl Sender {
+    /// Run the stream, then report. The observers hang up only if the
+    /// calling thread died, and then nobody is left to hear the rest.
+    fn run(mut self, frames: &[InputFrame], tx: &mpsc::Sender<Vec<u8>>) -> SenderReport {
+        let mut dropped = Vec::new();
+        let _hung_up = self.send(frames, tx, &mut dropped);
+        let mut faults = self.queue.stats();
+        faults.merge(&self.air.injector.stats());
+        SenderReport {
+            packets_sent: self.encryptor.packets_sent,
+            packets_encrypted: self.encryptor.packets_encrypted,
+            frames_dropped_at_queue: dropped,
+            faults,
+        }
+    }
+
+    /// Send the SPS/PPS lead-in, then every frame the queue admits, then
+    /// flush the air's reordering buffer.
+    fn send(
+        &mut self,
+        frames: &[InputFrame],
+        tx: &mpsc::Sender<Vec<u8>>,
+        dropped: &mut Vec<usize>,
+    ) -> Result<(), mpsc::SendError<Vec<u8>>> {
+        let lead_in = self.encryptor.lead_in();
+        self.air.carry(lead_in, tx)?;
+        for frame in frames {
+            if !self.queue.admit() {
                 // Producer outpaced the encryptor: the frame never reaches
                 // the queue. The stream continues — graceful degradation,
                 // not an abort.
-                dropped.push(f.index);
+                dropped.push(frame.index);
                 continue;
             }
-            if frame_tx.send(f).is_err() {
-                break;
-            }
+            let train = self.encryptor.encrypt_frame(frame);
+            self.air.carry(train, tx)?;
         }
-        (queue_faults.stats(), dropped)
-    });
+        for survivor in self.air.injector.drain() {
+            self.air.delivered.inc();
+            tx.send(survivor)?;
+        }
+        Ok(())
+    }
+}
 
-    let policy = config.policy;
-    let enc_cipher = cipher.clone().metered(metrics);
-    let pipeline_sent = metrics.counter("pipeline.packets_sent");
-    let pipeline_encrypted = metrics.counter("pipeline.packets_encrypted");
-    let encryptor = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut seq: u16 = 0;
-        let mut sent = 0usize;
-        let mut encrypted = 0usize;
-        // Lead-in: SPS and PPS as real parameter-set NAL units, in the clear
-        // (parameter sets must be readable before any key material applies).
-        for (reserved, unit) in [
+/// Figure 3's consumer/encryptor: fragments, encrypts and stamps.
+struct Encryptor {
+    cipher: MeteredSegmentCipher,
+    policy: Policy,
+    mtu_payload: usize,
+    /// The per-frame policy draws.
+    policy_rng: StdRng,
+    /// The next RTP sequence number.
+    seq: u16,
+    packets_sent: usize,
+    packets_encrypted: usize,
+    sent: Counter,
+    encrypted: Counter,
+}
+
+impl Encryptor {
+    /// SPS and PPS as real parameter-set NAL units, one clear packet each
+    /// (parameter sets must be readable before any key material applies).
+    fn lead_in(&mut self) -> Vec<Vec<u8>> {
+        let units = [
             (
                 SPS_FRAME,
                 NalUnit::new(3, NalUnitType::Sps, SequenceParameterSet::cif().to_rbsp()),
@@ -421,382 +631,238 @@ pub fn run_pipeline_faulty(
                     PictureParameterSet::default_for(0).to_rbsp(),
                 ),
             ),
-        ] {
+        ];
+        let mut train = Vec::with_capacity(units.len());
+        for (reserved, unit) in units {
             let annex_b = write_annex_b(std::slice::from_ref(&unit));
-            let mut pkt = pool.acquire();
+            let mut pkt = Vec::with_capacity(RTP_HEADER_LEN + FRAG_HEADER_LEN + annex_b.len());
             pkt.resize(RTP_HEADER_LEN, 0);
-            pkt.put_slice(&FragmentHeader::new(reserved, 0, 1).emit());
-            pkt.put_slice(&annex_b);
+            pkt.extend_from_slice(&FragmentHeader::new(reserved, 0, 1).emit());
+            pkt.extend_from_slice(&annex_b);
             let stamped = RtpHeader {
                 marker: false,
                 payload_type: 96,
-                sequence: seq,
+                sequence: self.seq,
                 timestamp: 0,
                 ssrc: 0x7E57,
             }
-            .write_into(pkt.as_mut_slice()); // lint:allow(plaintext-escape): SPS/PPS lead-in rides in the clear by design — decoders need parameter sets before any key material applies (paper Table 1)
+            .write_into(&mut pkt); // lint:allow(plaintext-escape): SPS/PPS lead-in rides in the clear by design — decoders need parameter sets before any key material applies (paper Table 1)
             debug_assert!(stamped.is_ok(), "buffer reserves header room");
-            if air_tx.send(pkt).is_err() { // lint:allow(plaintext-escape): cleartext parameter-set send is the intended policy boundary; no payload policy ever encrypts SPS/PPS
-                return (sent, encrypted);
-            }
-            sent += 1;
-            pipeline_sent.inc();
-            seq = seq.wrapping_add(1);
+            train.push(pkt);
+            self.packets_sent += 1;
+            self.sent.inc();
+            self.seq = self.seq.wrapping_add(1);
         }
-        while let Ok(frame) = frame_rx.recv() {
-            // Serialise the frame as a real Annex-B stream, then fragment.
-            // Each fragment is assembled once into a pooled buffer with its
-            // RTP header room reserved; nothing below copies payload bytes
-            // again.
-            let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
-            let chunks: Vec<&[u8]> = annex_b.chunks(config.mtu_payload).collect();
-            let total = chunks.len() as u16;
-            let unit: f64 = rng.gen_range(0.0..1.0);
-            let encrypt_frame = policy.mode.should_encrypt(frame.ftype, unit);
-            let mut train: Vec<PooledBuf> = Vec::with_capacity(chunks.len());
-            let mut seqs: Vec<u64> = Vec::with_capacity(chunks.len());
-            for (i, chunk) in chunks.iter().enumerate() {
-                let mut pkt = pool.acquire();
-                pkt.resize(RTP_HEADER_LEN, 0);
-                pkt.put_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
-                pkt.put_slice(chunk);
-                seqs.push(seq.wrapping_add(i as u16) as u64);
-                train.push(pkt);
-            }
-            if encrypt_frame {
-                // OFB per segment, keyed by the global sequence number —
-                // the receiver recovers the IV from the RTP header. The
-                // whole frame's fragments go through the cipher as one
-                // batched train (byte-identical to per-segment OFB; the
-                // bitsliced backend runs the lanes in parallel).
-                let mut bodies: Vec<&mut [u8]> = train
-                    .iter_mut()
-                    .map(|pkt| &mut pkt.as_mut_slice()[RTP_HEADER_LEN + FRAG_HEADER_LEN..])
-                    .collect();
-                enc_cipher.encrypt_train(&seqs, &mut bodies);
-                encrypted += bodies.len();
-                for _ in 0..bodies.len() {
-                    pipeline_encrypted.inc();
-                }
-            }
-            for (i, mut pkt) in train.into_iter().enumerate() {
-                let stamped = RtpHeader {
-                    marker: encrypt_frame,
-                    payload_type: 96,
-                    sequence: seq.wrapping_add(i as u16),
-                    timestamp: frame.index as u32 * 3000,
-                    ssrc: 0x7E57,
-                }
-                .write_into(pkt.as_mut_slice()); // lint:allow(plaintext-escape): selective encryption — policy-cleared P/B-frames ride plaintext by design; I-frame trains were encrypted via encrypt_train above (paper Table 1)
-                debug_assert!(stamped.is_ok(), "buffer reserves header room");
-                if air_tx.send(pkt).is_err() { // lint:allow(plaintext-escape): selective-encryption send path; the encrypt_frame policy draw above decides which trains meet the cipher
-                    return (sent, encrypted);
-                }
-                sent += 1;
-                pipeline_sent.inc();
-            }
-            seq = seq.wrapping_add(total);
-        }
-        (sent, encrypted)
-    });
-
-    // The air: apply loss once per packet, pass survivors through the
-    // fault injector (corruption, truncation, duplication, reordering
-    // bursts, burst-loss episodes), then copy to both observers.
-    let (rx_tx, rx_rx) = channel::unbounded::<Vec<u8>>();
-    let (eve_tx, eve_rx) = channel::unbounded::<Vec<u8>>();
-    let loss_prob = config.loss_prob;
-    let loss_seed = config.seed ^ 0xA1B2;
-    let reorder_window = config.reorder_window;
-    let mut injector = PacketInjector::new(plan, RTP_HEADER_LEN, metrics);
-    let air_delivered = metrics.counter("net.channel.delivered");
-    let air_lost = metrics.counter("net.channel.lost");
-    let air = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(loss_seed);
-        let mut ge = burst_channel;
-        let mut shuffle: Vec<Vec<u8>> = Vec::with_capacity(reorder_window + 1);
-        let deliver = |pkt: Vec<u8>| {
-            air_delivered.inc();
-            let _ = rx_tx.send(pkt.clone());
-            let _ = eve_tx.send(pkt);
-        };
-        // Release a packet past the legacy reordering window (config-level,
-        // distinct from the plan's reordering-burst site).
-        let release = |pkt: Vec<u8>, shuffle: &mut Vec<Vec<u8>>, rng: &mut StdRng| {
-            if reorder_window == 0 {
-                deliver(pkt);
-            } else {
-                shuffle.push(pkt);
-                if shuffle.len() > reorder_window {
-                    let idx = rng.gen_range(0..shuffle.len());
-                    deliver(shuffle.swap_remove(idx));
-                }
-            }
-        };
-        while let Ok(pkt) = air_rx.recv() {
-            let lost = match &mut ge {
-                // Preserve the historical draw pattern: no draw at all for
-                // a loss-free i.i.d. channel.
-                None => loss_prob > 0.0 && rng.gen_bool(loss_prob),
-                Some(ch) => !ch.transmit(&mut rng),
-            };
-            if lost {
-                air_lost.inc();
-                // Lost on the air: nobody hears it, and dropping the
-                // pooled buffer hands its allocation straight back to the
-                // sender for the next train.
-                continue;
-            }
-            // Survivors detach from the pool without copying a byte — the
-            // injector and observers own the allocation from here on.
-            for survivor in injector.on_packet(pkt.into_vec()) {
-                release(survivor, &mut shuffle, &mut rng);
-            }
-        }
-        for survivor in injector.drain() {
-            release(survivor, &mut shuffle, &mut rng);
-        }
-        while !shuffle.is_empty() {
-            let idx = rng.gen_range(0..shuffle.len());
-            deliver(shuffle.swap_remove(idx));
-        }
-        injector.stats()
-    });
-
-    // Observer threads: reassemble frames from fragments. Everything a
-    // hostile channel can hand them — garbage RTP, mangled fragmentation
-    // headers, undecryptable payloads — is absorbed as a counted erasure.
-    /// Per-frame fragment store: frame index → fragment number → bytes.
-    type FragmentStore = Arc<Mutex<BTreeMap<usize, BTreeMap<u16, Vec<u8>>>>>;
-    /// Live resync bookkeeping: the protocol plus the receive-packet clock
-    /// driving it (ticks are received packets, a deterministic unit).
-    struct ResyncState {
-        protocol: ResyncProtocol,
-        gop_hint: usize,
-        tick: u64,
-    }
-    /// The receiver's decryption context: the session cipher, the plan's
-    /// stale-key site and the out-of-date cipher it swaps in on a hit.
-    struct DecryptContext {
-        cipher: thrifty_crypto::MeteredSegmentCipher,
-        faults: ReceiverFaults,
-        stale_cipher: SegmentCipher,
-        resync: Option<ResyncState>,
-    }
-    fn observe(
-        rx: channel::Receiver<Vec<u8>>,
-        mut decrypt: Option<DecryptContext>,
-        out: FragmentStore,
-        totals: Arc<Mutex<BTreeMap<usize, u16>>>,
-        erasure_counter: thrifty_telemetry::Counter,
-    ) -> std::thread::JoinHandle<(ErasureStats, FaultStats, Option<RecoveryReport>)> {
-        std::thread::spawn(move || {
-            let mut erasures = ErasureStats::default();
-            while let Ok(wire) = rx.recv() {
-                let Ok(pkt) = RtpPacket::parse(wire.as_slice()) else {
-                    erasures.rtp_malformed += 1;
-                    erasure_counter.inc();
-                    continue;
-                };
-                let header = pkt.header();
-                let mut payload = pkt.payload().to_vec();
-                // Advance the resync clock on every received packet. The
-                // fragment header is deliberately cleartext (the cipher
-                // applies past FRAG_HEADER_LEN), so I-frame anchors are
-                // spotted here, before any decryption outcome.
-                if let Some(rs) = decrypt.as_mut().and_then(|ctx| ctx.resync.as_mut()) {
-                    rs.tick += 1;
-                    rs.protocol.on_tick(rs.tick);
-                    if let Ok((fh, _)) = FragmentHeader::parse(&payload) {
-                        let reserved = fh.frame == SPS_FRAME || fh.frame == PPS_FRAME;
-                        if !reserved
-                            && rs.gop_hint > 0
-                            && (fh.frame as usize).is_multiple_of(rs.gop_hint)
-                        {
-                            rs.protocol.on_i_frame(rs.tick);
-                        }
-                    }
-                }
-                if header.marker {
-                    match &mut decrypt {
-                        Some(ctx) => {
-                            if payload.len() < FRAG_HEADER_LEN {
-                                // Too short to carry a fragment at all.
-                                erasures.frag_malformed += 1;
-                                erasure_counter.inc();
-                                continue;
-                            }
-                            let body = &mut payload[FRAG_HEADER_LEN..];
-                            // Always drawn, so arming recovery never shifts
-                            // the site's seeded stream.
-                            let hit = ctx.faults.stale_hit();
-                            let use_stale = match &mut ctx.resync {
-                                None => hit,
-                                Some(rs) => {
-                                    if hit {
-                                        rs.protocol.on_desync(DesyncKind::StaleKey, rs.tick);
-                                    }
-                                    // While resyncing the receiver's key
-                                    // material is stale for *every* marked
-                                    // packet until the handshake completes.
-                                    rs.protocol.is_resyncing()
-                                        && !rs.protocol.key_is_fresh(rs.tick)
-                                }
-                            };
-                            if use_stale {
-                                // Out-of-date key: decryption "succeeds"
-                                // but produces garbage, which the Annex-B
-                                // reassembly rejects downstream.
-                                ctx.stale_cipher.decrypt_segment(header.sequence as u64, body);
-                            } else {
-                                ctx.cipher.decrypt_segment(header.sequence as u64, body);
-                            }
-                        }
-                        None => {
-                            // Eavesdropper: every marked packet is an
-                            // erasure by construction of the threat model.
-                            erasures.marked_undecryptable += 1;
-                            continue;
-                        }
-                    }
-                }
-                let (frag_header, body) = match FragmentHeader::parse(&payload) {
-                    Ok(parsed) => parsed,
-                    Err(_) => {
-                        erasures.frag_malformed += 1;
-                        erasure_counter.inc();
-                        continue;
-                    }
-                };
-                totals.lock().insert(frag_header.frame as usize, frag_header.total);
-                out.lock()
-                    .entry(frag_header.frame as usize)
-                    .or_default()
-                    .insert(frag_header.frag, body.to_vec());
-            }
-            let (faults, recovery) = decrypt
-                .map(|ctx| {
-                    (
-                        ctx.faults.stats(),
-                        ctx.resync.map(|rs| rs.protocol.report()),
-                    )
-                })
-                .unwrap_or_default();
-            (erasures, faults, recovery)
-        })
+        train
     }
 
-    let rx_frames = Arc::new(Mutex::new(BTreeMap::new()));
-    let rx_totals = Arc::new(Mutex::new(BTreeMap::new()));
-    let eve_frames = Arc::new(Mutex::new(BTreeMap::new()));
-    let eve_totals = Arc::new(Mutex::new(BTreeMap::new()));
-    let rx_thread = observe(
-        rx_rx,
-        Some(DecryptContext {
-            cipher: cipher.metered(metrics),
-            faults: ReceiverFaults::new(plan, metrics),
-            stale_cipher,
-            resync: config.recovery.map(|opts| ResyncState {
-                protocol: ResyncProtocol::new(opts.handshake_packets.max(1)),
-                gop_hint: opts.gop_hint,
-                tick: 0,
-            }),
-        }),
-        rx_frames.clone(),
-        rx_totals.clone(),
-        metrics.counter("pipeline.erasures.receiver"),
-    );
-    let eve_thread = observe(
-        eve_rx,
-        None,
-        eve_frames.clone(),
-        eve_totals.clone(),
-        metrics.counter("pipeline.erasures.eavesdropper"),
-    );
-
-    let stage = |name: &'static str| PipelineError::StagePanicked { stage: name };
-    let (queue_stats, frames_dropped_at_queue) =
-        producer.join().map_err(|_| stage("producer"))?;
-    let (packets_sent, packets_encrypted) = encryptor.join().map_err(|_| stage("encryptor"))?;
-    let air_stats = air.join().map_err(|_| stage("air"))?;
-    let (receiver_erasures, receiver_fault_stats, recovery) =
-        rx_thread.join().map_err(|_| stage("receiver"))?;
-    let (eavesdropper_erasures, _, _) = eve_thread.join().map_err(|_| stage("eavesdropper"))?;
-
-    let mut faults = FaultStats::default();
-    faults.merge(&queue_stats);
-    faults.merge(&air_stats);
-    faults.merge(&receiver_fault_stats);
-
-    let reconstruct = |store: &BTreeMap<usize, BTreeMap<u16, Vec<u8>>>,
-                       totals: &BTreeMap<usize, u16>|
-     -> Reconstruction {
-        let mut rec = Reconstruction::default();
-        for (&frame, original) in &originals {
-            let complete = totals.get(&frame).is_some_and(|&total| {
-                store
-                    .get(&frame)
-                    .is_some_and(|frags| frags.len() == total as usize)
-            });
-            if !complete {
-                rec.frames_damaged.push(frame);
-                continue;
-            }
-            let mut annex_b = Vec::new();
-            for chunk in store[&frame].values() {
-                annex_b.extend_from_slice(chunk);
-            }
-            match parse_annex_b(&annex_b) {
-                Ok(units) if units.len() == 1 && &units[0].payload == original => {
-                    rec.frames_ok.push(frame)
-                }
-                _ => rec.frames_damaged.push(frame),
-            }
+    /// One frame's packet train: the frame serialised as a real Annex-B
+    /// stream, fragmented at the MTU, encrypted as one batched keystream
+    /// train if the policy draw selects it, and stamped with RTP headers.
+    /// Each fragment is assembled once with its header room reserved;
+    /// nothing below copies payload bytes again.
+    fn encrypt_frame(&mut self, frame: &InputFrame) -> Vec<Vec<u8>> {
+        let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
+        let chunks: Vec<&[u8]> = annex_b.chunks(self.mtu_payload).collect();
+        let total = chunks.len() as u16;
+        let unit: f64 = self.policy_rng.gen_range(0.0..1.0);
+        let encrypt = self.policy.mode.should_encrypt(frame.ftype, unit);
+        let seq0 = self.seq;
+        let mut train: Vec<Vec<u8>> = Vec::with_capacity(chunks.len());
+        for (i, chunk) in chunks.iter().enumerate() {
+            let mut pkt = Vec::with_capacity(RTP_HEADER_LEN + FRAG_HEADER_LEN + chunk.len());
+            pkt.resize(RTP_HEADER_LEN, 0);
+            pkt.extend_from_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
+            pkt.extend_from_slice(chunk);
+            train.push(pkt);
         }
-        rec
-    };
-
-    let parse_param = |store: &BTreeMap<usize, BTreeMap<u16, Vec<u8>>>,
-                       reserved: u32|
-     -> Option<NalUnit> {
-        let frags = store.get(&(reserved as usize))?;
-        let mut annex_b = Vec::new();
-        for chunk in frags.values() {
-            annex_b.extend_from_slice(chunk);
+        if encrypt {
+            // OFB per segment, keyed by the global sequence number — the
+            // receiver recovers the IV from the RTP header. The whole
+            // frame's fragments go through the cipher as one batched train
+            // (byte-identical to per-segment OFB; the bitsliced backend
+            // runs the lanes in parallel).
+            let seqs: Vec<u64> = (0..total).map(|i| u64::from(seq0.wrapping_add(i))).collect();
+            let mut bodies: Vec<&mut [u8]> = train
+                .iter_mut()
+                .map(|pkt| &mut pkt[RTP_HEADER_LEN + FRAG_HEADER_LEN..])
+                .collect();
+            self.cipher.encrypt_train(&seqs, &mut bodies);
+            self.packets_encrypted += bodies.len();
+            self.encrypted.add(bodies.len() as u64);
         }
-        parse_annex_b(&annex_b).ok()?.into_iter().next()
-    };
-    let (receiver, receiver_sps, receiver_pps) = {
-        let frames = rx_frames.lock();
-        let totals = rx_totals.lock();
-        let sps = parse_param(&frames, SPS_FRAME)
-            .filter(|u| u.unit_type == NalUnitType::Sps)
-            .and_then(|u| SequenceParameterSet::from_rbsp(&u.payload).ok());
-        let pps = parse_param(&frames, PPS_FRAME)
-            .filter(|u| u.unit_type == NalUnitType::Pps)
-            .and_then(|u| PictureParameterSet::from_rbsp(&u.payload).ok());
-        (reconstruct(&frames, &totals), sps, pps)
-    };
-    let eavesdropper = {
-        let frames = eve_frames.lock();
-        let totals = eve_totals.lock();
-        reconstruct(&frames, &totals)
-    };
-    Ok(PipelineOutcome {
-        packets_sent,
-        packets_encrypted,
-        receiver,
-        eavesdropper,
-        receiver_sps,
-        receiver_pps,
-        faults,
-        receiver_erasures,
-        eavesdropper_erasures,
-        frames_dropped_at_queue,
-        recovery,
-    })
+        for (i, pkt) in train.iter_mut().enumerate() {
+            let stamped = RtpHeader {
+                marker: encrypt,
+                payload_type: 96,
+                sequence: seq0.wrapping_add(i as u16),
+                timestamp: frame.index as u32 * 3000,
+                ssrc: 0x7E57,
+            }
+            .write_into(pkt); // lint:allow(plaintext-escape): selective encryption — policy-cleared P/B-frames ride plaintext by design; the trains the policy draw selected were encrypted via encrypt_train above (paper Table 1)
+            debug_assert!(stamped.is_ok(), "buffer reserves header room");
+            self.packets_sent += 1;
+            self.sent.inc();
+        }
+        self.seq = seq0.wrapping_add(total);
+        train
+    }
 }
 
+/// Figure 3's air: one loss draw per packet, then the plan's in-flight
+/// faults (corruption, truncation, duplication, reordering bursts,
+/// burst-loss episodes).
+struct Air {
+    loss: LossModel,
+    loss_prob: f64,
+    rng: StdRng,
+    injector: PacketInjector,
+    delivered: Counter,
+    lost: Counter,
+}
+
+impl Air {
+    /// Put a train on the air and pass the survivors to the observers.
+    fn carry(
+        &mut self,
+        train: Vec<Vec<u8>>,
+        tx: &mpsc::Sender<Vec<u8>>,
+    ) -> Result<(), mpsc::SendError<Vec<u8>>> {
+        for pkt in train {
+            let lost = match &mut self.loss {
+                // The historical i.i.d. draw — no draw at all on a
+                // loss-free channel, and a *loss* draw otherwise — which
+                // `BernoulliChannel::transmit` does not reproduce.
+                LossModel::Iid(_) => self.loss_prob > 0.0 && self.rng.gen_bool(self.loss_prob),
+                LossModel::Burst(ch) => !ch.transmit(&mut self.rng),
+            };
+            if lost {
+                self.lost.inc();
+                continue;
+            }
+            for survivor in self.injector.on_packet(pkt) {
+                self.delivered.inc();
+                tx.send(survivor)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Live resync bookkeeping: the protocol plus the receive-packet clock
+/// driving it (ticks are received packets, a deterministic unit).
+struct ResyncState {
+    protocol: ResyncProtocol,
+    gop_hint: usize,
+    tick: u64,
+}
+
+/// The receiver's decryption context: the session cipher, the plan's
+/// stale-key site and the out-of-date cipher it swaps in on a hit.
+struct Decryptor {
+    cipher: MeteredSegmentCipher,
+    stale_cipher: SegmentCipher,
+    faults: ReceiverFaults,
+    resync: Option<ResyncState>,
+}
+
+impl Decryptor {
+    /// Advance the resync clock on a received packet. The fragment header
+    /// is deliberately cleartext (the cipher applies past
+    /// `FRAG_HEADER_LEN`), so I-frame anchors are spotted here, before any
+    /// decryption outcome.
+    fn tick(&mut self, payload: &[u8]) {
+        let Some(rs) = &mut self.resync else {
+            return;
+        };
+        rs.tick += 1;
+        rs.protocol.on_tick(rs.tick);
+        if let Ok((fh, _)) = FragmentHeader::parse(payload) {
+            let reserved = fh.frame == SPS_FRAME || fh.frame == PPS_FRAME;
+            if !reserved && rs.gop_hint > 0 && (fh.frame as usize).is_multiple_of(rs.gop_hint) {
+                rs.protocol.on_i_frame(rs.tick);
+            }
+        }
+    }
+
+    /// Decrypt one marked fragment body in place.
+    fn decrypt(&mut self, sequence: u16, body: &mut [u8]) {
+        // Always drawn, so arming recovery never shifts the site's seeded
+        // stream.
+        let hit = self.faults.stale_hit();
+        let use_stale = match &mut self.resync {
+            None => hit,
+            Some(rs) => {
+                if hit {
+                    rs.protocol.on_desync(DesyncKind::StaleKey, rs.tick);
+                }
+                // While resyncing the receiver's key material is stale for
+                // *every* marked packet until the handshake completes.
+                rs.protocol.is_resyncing() && !rs.protocol.key_is_fresh(rs.tick)
+            }
+        };
+        if use_stale {
+            // Out-of-date key: decryption "succeeds" but produces garbage,
+            // which the Annex-B reassembly rejects downstream.
+            self.stale_cipher.decrypt_segment(u64::from(sequence), body);
+        } else {
+            self.cipher.decrypt_segment(u64::from(sequence), body);
+        }
+    }
+}
+
+/// One observer of the air: the receiver or the eavesdropper. Everything a
+/// hostile channel can hand it — garbage RTP, mangled fragmentation
+/// headers, undecryptable payloads — is absorbed as a counted erasure.
+struct Observer {
+    store: Reassembler,
+    erasures: ErasureStats,
+    erasure_counter: Counter,
+}
+
+impl Observer {
+    fn new(erasure_counter: Counter) -> Self {
+        Observer {
+            store: Reassembler::default(),
+            erasures: ErasureStats::default(),
+            erasure_counter,
+        }
+    }
+
+    /// Take in one delivered packet. The receiver, which holds the
+    /// session's `decryptor`, decrypts `wire` in place; the eavesdropper,
+    /// without one, erases every marked packet.
+    fn hear(&mut self, wire: &mut [u8], mut decryptor: Option<&mut Decryptor>) {
+        let Ok(mut pkt) = RtpPacket::parse(wire) else {
+            self.erasures.rtp_malformed += 1;
+            self.erasure_counter.inc();
+            return;
+        };
+        let header = pkt.header();
+        if let Some(ctx) = decryptor.as_deref_mut() {
+            ctx.tick(pkt.payload());
+        }
+        if header.marker {
+            let Some(ctx) = decryptor else {
+                // Eavesdropper: every marked packet is an erasure by
+                // construction of the threat model.
+                self.erasures.marked_undecryptable += 1;
+                return;
+            };
+            let Some(body) = pkt.payload_mut().get_mut(FRAG_HEADER_LEN..) else {
+                // Too short to carry a fragment at all.
+                self.erasures.frag_malformed += 1;
+                self.erasure_counter.inc();
+                return;
+            };
+            ctx.decrypt(header.sequence, body);
+        }
+        if self.store.insert(pkt.payload()).is_err() {
+            self.erasures.frag_malformed += 1;
+            self.erasure_counter.inc();
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,13 +959,14 @@ mod tests {
     fn reordered_air_does_not_break_reassembly() {
         // The fragmentation header, not arrival order, drives reassembly —
         // a shuffled channel must still reconstruct everything.
-        let out = run_pipeline(
+        let out = run_pipeline_faulty(
             frames(30, 10),
-            PipelineConfig {
-                reorder_window: 16,
-                ..config(EncryptionMode::IFrames, 0.0)
-            },
-        );
+            config(EncryptionMode::IFrames, 0.0),
+            &FaultPlan::none(3).with_reordering(16),
+            &metrics_off(),
+        )
+        .expect("reordering must be handled");
+        assert!(out.faults.reordered > 0);
         assert_eq!(out.receiver.frames_ok.len(), 30);
         assert_eq!(out.eavesdropper.frames_damaged, vec![0, 10, 20]);
         assert!(out.receiver_sps.is_some());
@@ -909,8 +976,8 @@ mod tests {
     fn reorder_window_larger_than_stream_drains_fully() {
         // Regression: with a reordering window at least as large as the
         // whole packet stream, every packet sits in the shuffle buffer
-        // until the air thread's final drain — reassembly must still
-        // complete and nothing may be lost or deadlock.
+        // until the air's final drain — reassembly must still complete and
+        // nothing may be lost or deadlock.
         let input = frames(10, 5);
         let total_payload: usize = 2 /* SPS/PPS */
             + input
@@ -920,33 +987,18 @@ mod tests {
                     annex_b.len().div_ceil(1452)
                 })
                 .sum::<usize>();
-        let out = run_pipeline(
+        let out = run_pipeline_faulty(
             input,
-            PipelineConfig {
-                reorder_window: 10 * total_payload, // ≫ stream length
-                ..config(EncryptionMode::IFrames, 0.0)
-            },
-        );
+            config(EncryptionMode::IFrames, 0.0),
+            &FaultPlan::none(4).with_reordering(10 * total_payload), // ≫ stream length
+            &metrics_off(),
+        )
+        .expect("reordering must be handled");
         assert_eq!(out.packets_sent, total_payload);
+        assert!(out.faults.reordered > 0, "the drain must shuffle");
         assert_eq!(out.receiver.frames_ok.len(), 10, "shuffle buffer must drain fully");
         assert!(out.receiver.frames_damaged.is_empty());
         assert!(out.receiver_sps.is_some(), "lead-ins must survive the drain");
-    }
-
-    #[test]
-    fn queue_depth_one_backpressure_still_completes() {
-        // Regression: a single-slot bounded queue exercises constant
-        // producer↔encryptor backpressure; the pipeline must neither
-        // deadlock nor drop frames.
-        let out = run_pipeline(
-            frames(40, 10),
-            PipelineConfig {
-                queue_depth: 1,
-                ..config(EncryptionMode::All, 0.0)
-            },
-        );
-        assert_eq!(out.receiver.frames_ok.len(), 40);
-        assert!(out.frames_dropped_at_queue.is_empty());
     }
 
     #[test]

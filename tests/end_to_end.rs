@@ -53,7 +53,7 @@ fn figure1_workflow_slow_clip() {
     assert!(result.power_w < full.power_w);
 }
 
-/// The pixel encoder, real NAL bitstream, real ciphers and the threaded
+/// The pixel encoder, real NAL bitstream, real ciphers and the real-bytes
 /// pipeline agree end to end: bytes encoded from pixels survive the
 /// encrypted transfer byte-for-byte at the receiver only.
 #[test]
