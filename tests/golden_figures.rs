@@ -79,6 +79,8 @@ fn golden_snapshots_are_committed() {
         "headline",
         "ablation_d_percentiles",
         "fountain_matrix",
+        "fault_matrix",
+        "chaos_matrix",
     ] {
         assert!(
             dir.join(format!("{name}.json")).is_file(),
