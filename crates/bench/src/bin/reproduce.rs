@@ -1,15 +1,18 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! reproduce [--full] [--metrics <path>] [fig2 fig4 fig5 fig7 fig8 fig9
-//!            table2 fig10 fig11 fig12 fig13 fig14 fig15 headline
-//!            ablations faults fleet fountain chaos | all]
+//! reproduce [--full] [--json] [--no-bench-json] [--quick] [--metrics <path>]
+//!           [fig2 fig4 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11 fig12
+//!            fig13 fig14 fig15 headline ablations faults fleet fountain
+//!            chaos | all]
 //! ```
 //!
 //! `--full` runs at the paper's scale (10 trials × 300 frames); the default
-//! quick mode uses 3 trials × 120 frames. Output is Markdown, ready to be
-//! pasted into EXPERIMENTS.md; `--json` emits one JSON object per table for
-//! machine consumption instead. Figure 6 (screenshots) is regenerated by
+//! quick mode uses 3 trials × 120 frames. `--quick` is the CI smoke
+//! setting of `chaos` and `fleet` (see below). Output is Markdown, ready to
+//! be pasted into EXPERIMENTS.md; `--json` emits one JSON object per table
+//! for machine consumption instead. Figure 6 (screenshots) is not
+//! computed: `fig6` prints how to regenerate it with
 //! `cargo run --release --example eavesdropper_view`.
 //!
 //! `--metrics <path>` switches the delay-reporting figures (7, 8, 12, 13
@@ -87,6 +90,25 @@ fn usage() -> String {
          [--metrics <path>] [{} | all]",
         SUBCOMMANDS[..SUBCOMMANDS.len() - 1].join(" ")
     )
+}
+
+/// Write one output document, reporting the outcome on stderr.
+fn write_artifact(path: &str, doc: &str) {
+    match std::fs::write(path, doc) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+/// Print every violation on stderr under `what` and exit 1 if there is any.
+fn exit_on_violations(what: &str, violations: &[String]) {
+    if violations.is_empty() {
+        return;
+    }
+    for v in violations {
+        eprintln!("{what} violation: {v}");
+    }
+    std::process::exit(1);
 }
 
 fn main() {
@@ -258,15 +280,17 @@ fn main() {
     if want("headline") {
         timed("headline", &mut timings, &mut || emit(&headline()));
     }
+    // The testbed validators (`fleet`, then the `fountain`, `chaos` and
+    // `faults` matrices) validate the engine rather than a paper figure, so
+    // they run only when named, in this fixed order, and each exits 1
+    // after printing its violations, if it has any.
+    let quick = args.iter().any(|a| a == "--quick");
     // `fleet` scales the testbed out to N concurrent uploaders and
-    // self-verifies its determinism/caching guarantees; like `faults` it
-    // only runs when asked for by name (it validates the engine, not a
-    // paper figure) and exits non-zero on any violation: an N=1 cell that
+    // self-verifies its determinism/caching guarantees: an N=1 cell that
     // diverges from the single-sender path, a same-seed metered run that is
     // not bit-reproducible, a 2-state/n-state solver disagreement, or a
-    // solve-cache hit rate ≤ 90% on the 100-flow cells.
+    // solve-cache hit rate ≤ 90% on the 100-flow cells are violations.
     if wanted.contains(&"fleet") {
-        let quick = args.iter().any(|a| a == "--quick");
         let mut violations = Vec::new();
         if !quick {
             timed("fleet", &mut timings, &mut || {
@@ -298,53 +322,27 @@ fn main() {
             scale_bench = bench;
         });
         if !skip_bench_json {
-            let doc = bench_fleet_json(&scale_bench);
-            match std::fs::write("BENCH_fleet.json", &doc) {
-                Ok(()) => eprintln!("wrote BENCH_fleet.json"),
-                Err(e) => eprintln!("could not write BENCH_fleet.json: {e}"),
-            }
+            write_artifact("BENCH_fleet.json", &bench_fleet_json(&scale_bench));
         }
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("fleet-sweep violation: {v}");
-            }
-            std::process::exit(1);
-        }
+        exit_on_violations("fleet-sweep", &violations);
     }
-    // `fountain` runs the third-protocol matrix (RTP/UDP vs HTTP/TCP vs
-    // LT-fountain × Table 1 policies × iid/burst/deep-fade loss) and exits
-    // non-zero if any cell violates its guarantees: a run that is not
-    // bit-reproducible from its seed, a lossy run beating its lossless
-    // twin, a goodput outside (0, 1], a reliable transport losing frames,
-    // or a deep fade where the fountain never reaches the ARQ transport's
-    // goodput. Like `faults`, it validates the testbed and only runs when
-    // asked for by name.
-    if wanted.contains(&"fountain") {
-        let mut violations = Vec::new();
-        timed("fountain", &mut timings, &mut || {
-            let (t, m) = fountain_matrix(effort);
-            emit(&t);
-            violations = verify_fountain_matrix(&t);
-            if metrics_on {
-                figure_metrics.push(m);
-            }
-        });
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("fountain-matrix violation: {v}");
-            }
-            std::process::exit(1);
+    // The self-verifying matrices (see the module docs above for what each
+    // one checks). `chaos` honours `--quick` and records its table to
+    // BENCH_recover.json.
+    let matrices = [
+        (
+            "fountain",
+            "fountain-matrix",
+            fountain_matrix as fn(Effort) -> MatrixReport,
+        ),
+        ("chaos", "chaos-matrix", chaos_matrix),
+        ("faults", "fault-matrix", fault_matrix),
+    ];
+    for (name, what, generate) in matrices {
+        if !wanted.contains(&name) {
+            continue;
         }
-    }
-    // `chaos` runs the recovery soak matrix under the thrifty-recover
-    // gates (bounded resync episodes, a flap-free degradation controller
-    // settling on a stable rung, adaptive-RTO goodput never trailing the
-    // fixed baseline) plus the bit-reproducibility and clean-twin ΔPSNR
-    // gates every matrix carries. Like the other testbed validators it
-    // only runs when asked for by name and exits non-zero on violations.
-    if wanted.contains(&"chaos") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let chaos_effort = if quick {
+        let matrix_effort = if name == "chaos" && quick {
             Effort {
                 trials: 1,
                 frames: 40,
@@ -352,49 +350,21 @@ fn main() {
         } else {
             effort
         };
-        let mut violations = Vec::new();
-        let mut table_json = String::new();
-        timed("chaos", &mut timings, &mut || {
-            let (t, m) = chaos_matrix(chaos_effort);
-            emit(&t);
-            violations = verify_chaos_matrix(&t);
-            table_json = t.to_json();
-            if metrics_on {
-                figure_metrics.push(m);
-            }
+        let mut report = None;
+        timed(name, &mut timings, &mut || {
+            let r = generate(matrix_effort);
+            emit(&r.table);
+            report = Some(r);
         });
-        if !skip_bench_json {
-            let doc = format!("{table_json}\n");
-            match std::fs::write("BENCH_recover.json", &doc) {
-                Ok(()) => eprintln!("wrote BENCH_recover.json"),
-                Err(e) => eprintln!("could not write BENCH_recover.json: {e}"),
-            }
+        let Some(report) = report else { continue };
+        if metrics_on {
+            figure_metrics.push(report.metrics);
         }
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("chaos-matrix violation: {v}");
-            }
-            std::process::exit(1);
+        if name == "chaos" && !skip_bench_json {
+            let doc = format!("{}\n", report.table.to_json());
+            write_artifact("BENCH_recover.json", &doc);
         }
-    }
-    // `faults` validates the testbed rather than regenerating a paper
-    // figure, so it only runs when asked for by name.
-    if wanted.contains(&"faults") {
-        let mut violations = Vec::new();
-        timed("faults", &mut timings, &mut || {
-            let (t, m) = fault_matrix(effort);
-            emit(&t);
-            violations = verify_fault_matrix(&t);
-            if metrics_on {
-                figure_metrics.push(m);
-            }
-        });
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("fault-matrix violation: {v}");
-            }
-            std::process::exit(1);
-        }
+        exit_on_violations(what, &report.violations);
     }
     if want("ablations") {
         timed("ablations", &mut timings, &mut || {
@@ -410,10 +380,7 @@ fn main() {
     if let Some(path) = &metrics_path {
         let figures: Vec<String> = figure_metrics.iter().map(|m| m.to_json()).collect();
         let doc = format!("{{\"figures\": [{}]}}\n", figures.join(", "));
-        match std::fs::write(path, &doc) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &doc);
     }
 
     if !skip_bench_json {

@@ -3,7 +3,7 @@
 //!
 //! Four **storm classes** drive each of the three transports (RTP/UDP,
 //! HTTP/TCP, LT-fountain) through the same seeded fault machinery the
-//! PR 3 matrix uses, and the run *verifies itself*:
+//! fault matrix uses, and the run *verifies itself*:
 //!
 //! * **Bounded recovery** — with receiver-side resync armed
 //!   ([`thrifty_sim::pipeline::RecoveryOptions`]), every stale-key desync
@@ -11,48 +11,41 @@
 //!   of received packets. The matrix reports p50/p95/max recovery time per
 //!   cell and fails if any episode (or a still-open tail) exceeds the
 //!   bound.
-//! * **Adaptive ≥ fixed RTO** — the TCP harness replays the *same* loss
-//!   trace through the fixed-RTO biller and the Jacobson/Karn
-//!   [`RtoEstimator`] (capped at the fixed value, floored at the wire
-//!   RTT), so the adaptive transport's goodput can never trail the fixed
-//!   baseline, and in the deep fade it must strictly beat it.
+//! * **Adaptive ≥ fixed RTO** — the TCP rows replay the *same* loss trace
+//!   through the fixed-RTO biller and the Jacobson/Karn [`RtoEstimator`]
+//!   (capped at the fixed value, floored at the wire RTT), so the adaptive
+//!   transport's goodput can never trail the fixed baseline, and in the
+//!   deep fade it must strictly beat it.
 //! * **No-flap degradation** — a per-storm soak feeds the
 //!   [`DegradationController`] an EWMA of windowed channel loss; the
 //!   controller must never flap (reverse direction inside its dwell
 //!   window) and its settled rung must be stable for the channel's
 //!   analytic long-run loss rate.
 //!
-//! Every cell also re-runs from the same seed (bit-identity gate) and runs
-//! a lossless clean twin (ΔPSNR gate: storms only remove quality). The
-//! `reproduce chaos` subcommand prints the matrix, records it to
-//! `BENCH_recover.json`, and exits nonzero on any violation.
+//! The clean twin of a cell is a lossless, fault-free channel; the double
+//! run, the clean twin and the per-cell telemetry come from the [matrix
+//! harness](crate::matrix). The `reproduce chaos` subcommand prints the
+//! matrix, records it to `BENCH_recover.json`, and exits nonzero on any
+//! violation.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use thrifty_analytic::fountain::{FountainChannel, FountainDelayModel, DEFAULT_PEELING_MARGIN};
 use thrifty_analytic::policy::{EncryptionMode, Policy};
 use thrifty_crypto::Algorithm;
 use thrifty_faults::{FaultPlan, Region};
-use thrifty_net::wire::{FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{LossChannel, UDP_IP_OVERHEAD};
+use thrifty_net::LossChannel;
 use thrifty_recover::{
-    ControllerConfig, DegradationController, PolicyRung, RecoveryReport, RtoConfig, RtoEstimator,
+    ControllerConfig, DegradationController, PolicyRung, RtoConfig, RtoEstimator,
 };
-use thrifty_sim::fountain::{run_pipeline_fountain_metered, FountainConfig};
-use thrifty_sim::pipeline::{
-    run_pipeline_faulty, AirChannel, InputFrame, LossModel, PipelineConfig, RecoveryOptions,
-};
-use thrifty_sim::tcp::{run_pipeline_tcp, TcpConfig};
+use thrifty_sim::pipeline::{InputFrame, PipelineConfig, RecoveryOptions};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::scene::{SceneConfig, SceneGenerator};
-use thrifty_video::MotionLevel;
 
-use crate::fountain::{
-    annex_b_len, block_symbols, concealed_psnr, delivered_media_bytes, received_flags, stream,
-    ProtocolKind, GOP, SYMBOL_LEN,
+use crate::matrix::{
+    annex_b_len, block_symbols, mix_seed, reliable_delivery, run_matrix, run_transport,
+    CellOutcome, Link, LossPoint, Matrix, MatrixReport, ProtocolKind, TransportRun, GOP,
+    PHY_RATE_BPS,
 };
-use crate::parallel::par_map;
-use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
+use crate::Effort;
 
 /// The fixed-RTO baseline the adaptive estimator is raced against, and the
 /// adaptive estimator's initial/ceiling value — so the adaptive transport
@@ -63,12 +56,8 @@ const MIN_RTO_S: f64 = 0.002;
 /// Base propagation+processing RTT fed to the estimator on clean
 /// deliveries, on top of the segment's own air time.
 const BASE_RTT_S: f64 = 0.002;
-/// 802.11g air rate the goodput clock runs at, bits per second.
-const PHY_RATE_BPS: f64 = 54e6;
 /// Re-key handshake length (received packets) for the resync protocol.
 const HANDSHAKE_PACKETS: u64 = 8;
-/// Analytic decode-failure target for the fountain's per-storm ε.
-const DECODE_FAILURE_TARGET: f64 = 0.02;
 /// Packets per controller observation window. Long enough that several
 /// Gilbert–Elliott dwell cycles average inside one window, so the EWMA
 /// tracks the long-run loss rate instead of per-dwell noise.
@@ -121,28 +110,12 @@ impl StormClass {
         }
     }
 
-    /// The air channel the storm rides on.
-    fn air(self) -> (f64, AirChannel) {
+    /// The channel point the storm rides on.
+    pub fn point(self) -> LossPoint {
         match self {
-            StormClass::KeyRotation | StormClass::Overflow => (0.02, AirChannel::Iid),
-            StormClass::DeepFade => (
-                0.0,
-                AirChannel::Burst {
-                    p_gb: 0.05,
-                    p_bg: 0.08,
-                    good_success: 0.995,
-                    bad_success: 0.05,
-                },
-            ),
-            StormClass::Gauntlet => (
-                0.0,
-                AirChannel::Burst {
-                    p_gb: 0.03,
-                    p_bg: 0.3,
-                    good_success: 0.995,
-                    bad_success: 0.6,
-                },
-            ),
+            StormClass::KeyRotation | StormClass::Overflow => LossPoint::Iid,
+            StormClass::DeepFade => LossPoint::DeepFade,
+            StormClass::Gauntlet => LossPoint::Burst,
         }
     }
 
@@ -158,211 +131,245 @@ impl StormClass {
             StormClass::Overflow => FaultPlan::none(seed).with_queue_overflow(4, 0.6),
         }
     }
-
-    /// The storm's channel as a [`LossModel`], for the controller soak.
-    fn loss_model(self) -> LossModel {
-        let (loss_prob, channel) = self.air();
-        LossModel::try_new(loss_prob, channel).expect("storm channel parameters are valid")
-    }
-
-    /// The analytic per-symbol delivery process (for the fountain's ε and
-    /// the controller's stable-rung check).
-    fn analytic(self) -> FountainChannel {
-        match self.air() {
-            (loss, AirChannel::Iid) => FountainChannel::Iid { loss },
-            (
-                _,
-                AirChannel::Burst {
-                    p_gb,
-                    p_bg,
-                    good_success,
-                    bad_success,
-                },
-            ) => FountainChannel::Burst {
-                p_gb,
-                p_bg,
-                good_success,
-                bad_success,
-            },
-        }
-    }
-
-    /// Long-run packet-loss rate of the storm's channel.
-    fn analytic_loss(self) -> f64 {
-        1.0 - self.loss_model().success_rate()
-    }
 }
 
-/// Smallest grid ε whose analytic decode-failure probability at `k`
-/// source symbols drops below [`DECODE_FAILURE_TARGET`] on this storm's
-/// channel (same grid as the fountain matrix).
-fn storm_overhead(storm: StormClass, k: usize) -> f64 {
-    let channel = storm.analytic();
-    for step in 1..=60 {
-        let eps = step as f64 * 0.05;
-        let n = FountainDelayModel::symbols_sent(k, eps);
-        if channel.decode_failure_prob(k, n, DEFAULT_PEELING_MARGIN) <= DECODE_FAILURE_TARGET {
-            return eps;
-        }
-    }
-    3.0
-}
-
-/// Seed for a cell, mixed from its matrix coordinates so no two cells
-/// share RNG streams.
-fn cell_seed(storm: usize, proto: usize) -> u64 {
-    0xC405_2026
-        ^ (storm as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (proto as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
-/// What one soak cell produced — everything the bit-identity gate
-/// compares and the verification gates consume.
-#[derive(Debug, Clone)]
-struct ChaosRun {
-    /// UDP packets, TCP segments (first copies) or coded symbols.
-    sent: usize,
-    /// Bytes on the air, retransmissions included.
-    bytes_on_air: u64,
-    /// Timeout-driven retransmissions (TCP only; zero elsewhere).
-    timeouts: usize,
-    /// Total sender idle under the fixed-RTO baseline, seconds.
-    stall_fixed_s: f64,
-    /// Total sender idle under the adaptive estimator, seconds — billed
-    /// over the *same* loss trace as the fixed baseline.
-    stall_adaptive_s: f64,
-    /// Per-frame exact-recovery flags, index = frame number.
-    received: Vec<bool>,
-    /// Stale-key resync episodes (empty where the mechanism is idle).
-    resync: RecoveryReport,
-}
-
-impl ChaosRun {
-    fn frames_intact(&self) -> usize {
-        self.received.iter().filter(|&&ok| ok).count()
-    }
-
-    /// Bit-level equality: the determinism gate compares float fields by
-    /// their bit patterns, not tolerances.
-    fn bit_identical(&self, other: &ChaosRun) -> bool {
-        self.sent == other.sent
-            && self.bytes_on_air == other.bytes_on_air
-            && self.timeouts == other.timeouts
-            && self.stall_fixed_s.to_bits() == other.stall_fixed_s.to_bits()
-            && self.stall_adaptive_s.to_bits() == other.stall_adaptive_s.to_bits()
-            && self.received == other.received
-            && self.resync == other.resync
-    }
-
-    /// Delivered media bits per second of transfer time (air time plus the
-    /// given stall budget).
-    fn goodput_mbps(&self, input: &[InputFrame], stall_s: f64) -> f64 {
-        let delivered = delivered_media_bytes(input, &self.received) as f64;
-        let transfer_s = self.bytes_on_air as f64 * 8.0 / PHY_RATE_BPS + stall_s;
-        delivered * 8.0 / transfer_s / 1e6
-    }
-}
-
-/// One soak cell on the storm's channel, or on a lossless fault-free
-/// channel for the clean twin.
-///
-/// * RTP/UDP runs the storm's fault plan with receiver-side resync armed;
-///   recovery episodes come straight from the pipeline's
-///   [`RecoveryReport`].
-/// * HTTP/TCP meets the storm through its channel only (an empty plan):
-///   segments retransmit until delivered and the recorded loss trace is
-///   billed twice (see [`bill_stalls`]).
-/// * The fountain also meets it only through its channel; undecoded blocks
-///   surface as missing frames.
-fn run_cell(
-    input: &[InputFrame],
+/// One cell: a storm over a transport.
+#[derive(Debug, Clone, Copy)]
+struct ChaosCell {
     storm: StormClass,
     proto: ProtocolKind,
-    seed: u64,
-    overhead: f64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
-    let policy = soak_policy();
-    let idle = |sent, bytes_on_air, receiver| ChaosRun {
-        sent,
-        bytes_on_air,
-        timeouts: 0,
-        stall_fixed_s: 0.0,
-        stall_adaptive_s: 0.0,
-        received: received_flags(input.len(), &receiver),
-        resync: RecoveryReport::default(),
-    };
-    match proto {
-        ProtocolKind::Udp => {
-            let plan = if clean { FaultPlan::none(seed) } else { storm.plan(seed) };
-            let config = PipelineConfig {
-                policy,
-                loss_prob,
-                channel,
-                seed,
-                recovery: Some(RecoveryOptions {
-                    handshake_packets: HANDSHAKE_PACKETS,
-                    gop_hint: GOP,
-                }),
-                ..PipelineConfig::default()
-            };
-            let mtu = config.mtu_payload;
-            let out = run_pipeline_faulty(input.to_vec(), config, &plan, metrics)
-                .expect("storm plans carry valid probabilities");
-            // Media bytes on the air: frames the queue dropped never burn
-            // air; everything else is chunked at the MTU with per-packet
-            // headers.
-            let bytes_on_air: u64 = input
-                .iter()
-                .filter(|f| !out.frames_dropped_at_queue.contains(&f.index))
-                .map(|f| {
-                    let len = annex_b_len(f);
-                    let packets = len.div_ceil(mtu);
-                    (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
-                })
-                .sum();
-            ChaosRun {
-                resync: out.recovery.unwrap_or_default(),
-                ..idle(out.packets_sent, bytes_on_air, out.receiver)
-            }
-        }
-        ProtocolKind::Tcp => {
-            let config = TcpConfig { policy, loss_prob, seed, channel };
-            let out = run_pipeline_tcp(input, &config, &FaultPlan::default(), metrics)
-                .expect("storm channels and the soak policy are valid");
-            let (timeouts, stall_fixed_s, stall_adaptive_s) = bill_stalls(&out.trace);
-            ChaosRun {
-                timeouts,
-                stall_fixed_s,
-                stall_adaptive_s,
-                ..idle(out.segments_sent, out.bytes_on_air(), out.receiver)
-            }
-        }
-        ProtocolKind::Fountain => {
-            let config = FountainConfig {
-                policy,
-                symbol_len: SYMBOL_LEN,
-                overhead,
-                loss_prob,
-                seed,
-                channel,
-            };
-            let out = run_pipeline_fountain_metered(input, &config, metrics)
-                .expect("storm channels and the soak policy are valid");
-            idle(out.symbols_sent, out.bytes_on_air, out.receiver)
+}
+
+/// The chaos soak matrix: storm class × transport, with the per-storm
+/// controller soak folded into each row.
+struct ChaosMatrix {
+    frames: usize,
+    /// The fountain's ε per storm, in [`StormClass::ALL`] order.
+    overheads: [f64; 4],
+    /// Recovery budget, received packets.
+    bound: u64,
+    /// The controller soak per storm, in [`StormClass::ALL`] order.
+    controllers: [ControllerOutcome; 4],
+}
+
+impl Matrix for ChaosMatrix {
+    type Cell = ChaosCell;
+    const SALT: u64 = 0xC405_2026;
+
+    fn new(input: &[InputFrame]) -> Self {
+        let k = block_symbols(input);
+        ChaosMatrix {
+            frames: input.len(),
+            overheads: StormClass::ALL.map(|storm| storm.point().overhead(k)),
+            bound: recovery_bound(input),
+            controllers: StormClass::ALL.map(controller_soak),
         }
     }
+
+    fn title(&self) -> String {
+        format!(
+            "Chaos soak matrix — {}-frame clip, GOP {GOP}, recovery bound {} pkts",
+            self.frames, self.bound
+        )
+    }
+
+    fn caption(&self) -> String {
+        let bound = self.bound;
+        format!(
+            "Four fault storms × three transports, every cell self-verifying: run and \
+             rerun must agree bit for bit, the lossless twin bounds PSNR from above, \
+             every stale-key resync episode must close within {bound} received packets \
+             (handshake {HANDSHAKE_PACKETS} + 10 GOPs), and the TCP rows replay one \
+             loss trace under the fixed {FIXED_RTO_S}s RTO and the Jacobson/Karn \
+             estimator (capped at the fixed value) — adaptive goodput may never trail \
+             fixed, and must strictly beat it in the deep fade. Controller columns \
+             come from a per-storm soak of the degradation ladder on EWMA-smoothed \
+             windowed loss: zero flaps, settled rung stable at the channel's analytic \
+             loss rate. Fountain ε per storm: {}.",
+            self.overheads
+                .iter()
+                .map(|e| format!("{e:.2}"))
+                .collect::<Vec<_>>()
+                .join("/")
+        )
+    }
+
+    fn cells(&self) -> Vec<(ChaosCell, Vec<usize>)> {
+        let mut cells = Vec::new();
+        for (si, storm) in StormClass::ALL.into_iter().enumerate() {
+            for (pi, proto) in ProtocolKind::ALL.into_iter().enumerate() {
+                cells.push((ChaosCell { storm, proto }, vec![si, pi]));
+            }
+        }
+        cells
+    }
+
+    fn label(&self, cell: &ChaosCell) -> String {
+        format!("{}, {}", cell.proto.label(), cell.storm.label())
+    }
+
+    /// The cell on the storm's channel, or on a lossless fault-free channel
+    /// for the clean twin. RTP/UDP runs the storm's fault plan with
+    /// receiver-side resync armed; HTTP/TCP and the fountain meet the storm
+    /// through its channel only (TCP gets an empty plan).
+    fn run(
+        &self,
+        input: &[InputFrame],
+        cell: &ChaosCell,
+        seed: u64,
+        clean: bool,
+        metrics: &MetricsRegistry,
+    ) -> TransportRun {
+        let ChaosCell { storm, proto } = *cell;
+        let plan = match proto {
+            ProtocolKind::Udp if clean => FaultPlan::none(seed),
+            ProtocolKind::Udp => storm.plan(seed),
+            ProtocolKind::Tcp | ProtocolKind::Fountain => FaultPlan::default(),
+        };
+        let link = Link {
+            recovery: Some(RecoveryOptions {
+                handshake_packets: HANDSHAKE_PACKETS,
+                gop_hint: GOP,
+            }),
+            overhead: self.overheads[storm as usize],
+            ..Link::new(soak_policy(), (!clean).then_some(storm.point()), seed)
+        };
+        run_transport(proto, input, link, &plan, metrics)
+    }
+
+    fn row(&self, cell: &ChaosCell, out: &CellOutcome) -> Vec<(String, f64)> {
+        let run = &out.run;
+        let (adaptive, fixed) = goodputs(run);
+        let mut durations = run.resync.durations();
+        durations.sort_unstable();
+        let ctl = self.controllers[cell.storm as usize];
+        vec![
+            ("sent".into(), run.sent as f64),
+            ("resync episodes".into(), durations.len() as f64),
+            ("recovery p50 (pkts)".into(), percentile(&durations, 0.50)),
+            ("recovery p95 (pkts)".into(), percentile(&durations, 0.95)),
+            (
+                "recovery max (pkts)".into(),
+                run.resync.max_duration() as f64,
+            ),
+            (
+                "recovery bounded".into(),
+                run.resync.bounded_by(self.bound) as u8 as f64,
+            ),
+            ("timeouts".into(), run.timeouts() as f64),
+            ("frames intact".into(), run.frames_intact() as f64),
+            ("frames".into(), run.received.len() as f64),
+            ("ΔPSNR vs clean (dB)".into(), out.delta_psnr),
+            ("goodput adaptive (Mbit/s)".into(), adaptive),
+            ("goodput fixed (Mbit/s)".into(), fixed),
+            ("controller flaps".into(), ctl.flaps as f64),
+            ("controller transitions".into(), ctl.transitions as f64),
+            ("controller rung".into(), ctl.rung.index() as f64),
+            ("controller settled".into(), ctl.settled as u8 as f64),
+            ("reproducible".into(), out.reproducible as u8 as f64),
+        ]
+    }
+
+    /// Bounded recovery, adaptive goodput never trailing fixed, a flap-free
+    /// controller settled on a stable rung, and a complete reliable
+    /// transport.
+    fn invariants(&self, cell: &ChaosCell, out: &CellOutcome) -> Vec<String> {
+        let run = &out.run;
+        let mut violations = Vec::new();
+        if !run.resync.bounded_by(self.bound) {
+            violations.push(format!(
+                "a resync episode exceeded the recovery bound (max {})",
+                run.resync.max_duration()
+            ));
+        }
+        let (adaptive, fixed) = goodputs(run);
+        if !adaptive.is_finite() || !fixed.is_finite() {
+            violations.push("goodput not finite".to_string());
+        } else if adaptive < fixed - 1e-9 {
+            violations.push(format!(
+                "adaptive RTO goodput {adaptive} trails fixed {fixed}"
+            ));
+        }
+        let ctl = self.controllers[cell.storm as usize];
+        // `flaps` is a count: any reversal inside the dwell window fails.
+        if ctl.flaps != 0 {
+            violations.push(format!(
+                "degradation controller flapped {} times",
+                ctl.flaps
+            ));
+        }
+        if !ctl.settled {
+            violations.push(format!(
+                "controller settled on rung {} which is unstable at the \
+                 channel's analytic loss",
+                ctl.rung.index()
+            ));
+        }
+        violations.extend(reliable_delivery(cell.proto, run));
+        violations
+    }
+
+    /// The resync path must fire where stale keys are armed, and the deep
+    /// fade must force timeouts that the adaptive RTO strictly out-goodputs
+    /// the fixed one on.
+    fn matrix_invariants(&self, cells: &[(&ChaosCell, &CellOutcome)]) -> Vec<String> {
+        let mut violations = Vec::new();
+        let find = |storm: StormClass, proto: ProtocolKind| {
+            let label = self.label(&ChaosCell { storm, proto });
+            let out = cells
+                .iter()
+                .find(|(c, _)| c.storm == storm && c.proto == proto)
+                .map(|&(_, out)| out);
+            (label, out)
+        };
+        for storm in [StormClass::KeyRotation, StormClass::Gauntlet] {
+            match find(storm, ProtocolKind::Udp) {
+                (label, Some(out)) if out.run.resync.episodes.is_empty() => violations.push(
+                    format!("{label}: stale-key storm produced no resync episodes"),
+                ),
+                (label, None) => violations.push(format!("missing row {label}")),
+                _ => {}
+            }
+        }
+        match find(StormClass::DeepFade, ProtocolKind::Tcp) {
+            (label, Some(out)) => {
+                let (adaptive, fixed) = goodputs(&out.run);
+                // `partial_cmp` so a NaN goodput is a violation, not a pass.
+                if adaptive.partial_cmp(&fixed) != Some(std::cmp::Ordering::Greater) {
+                    violations.push(format!(
+                        "{label}: adaptive goodput {adaptive} did not beat fixed {fixed}"
+                    ));
+                }
+                if out.run.timeouts() == 0 {
+                    violations.push(format!("{label}: deep fade forced no timeouts"));
+                }
+            }
+            (label, None) => violations.push(format!("missing row {label}")),
+        }
+        violations
+    }
+}
+
+/// Recovery budget: the handshake plus ten GOPs of received packets — far
+/// above a healthy episode (one handshake + at most a few GOPs to the next
+/// intact I-frame) but far below "never recovered".
+fn recovery_bound(input: &[InputFrame]) -> u64 {
+    let mtu = PipelineConfig::default().mtu_payload;
+    let gop_packets: u64 = input
+        .iter()
+        .take(GOP)
+        .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
+        .sum();
+    HANDSHAKE_PACKETS + 10 * gop_packets
 }
 
 /// Bill one TCP loss trace of `(failures, attempt_bytes)` per segment under
-/// both RTO disciplines: `(timeouts, fixed stall s, adaptive stall s)`.
-/// Fixed: one [`FIXED_RTO_S`] idle per timeout. Adaptive: the
+/// both RTO disciplines: `(fixed stall s, adaptive stall s)`, zero for an
+/// empty trace. Fixed: one [`FIXED_RTO_S`] idle per timeout. Adaptive: the
 /// Jacobson/Karn estimator's current RTO per timeout (doubling under
 /// backoff, capped at the fixed value), with segments that went through on
 /// the first attempt feeding RTT samples (Karn's rule).
-fn bill_stalls(trace: &[(u32, u64)]) -> (usize, f64, f64) {
+fn bill_stalls(trace: &[(u32, u64)]) -> (f64, f64) {
     let timeouts: usize = trace.iter().map(|&(f, _)| f as usize).sum();
     let stall_fixed_s = timeouts as f64 * FIXED_RTO_S;
     let config = RtoConfig::try_new(FIXED_RTO_S, MIN_RTO_S, FIXED_RTO_S, 6)
@@ -378,7 +385,14 @@ fn bill_stalls(trace: &[(u32, u64)]) -> (usize, f64, f64) {
             estimator.on_rtt_sample(attempt_bytes as f64 * 8.0 / PHY_RATE_BPS + BASE_RTT_S);
         }
     }
-    (timeouts, stall_fixed_s, stall_adaptive_s)
+    (stall_fixed_s, stall_adaptive_s)
+}
+
+/// The run's goodput under both RTO bills of its loss trace, Mbit/s:
+/// `(adaptive, fixed)`.
+fn goodputs(run: &TransportRun) -> (f64, f64) {
+    let (fixed_s, adaptive_s) = bill_stalls(&run.trace);
+    (run.goodput_mbps(adaptive_s), run.goodput_mbps(fixed_s))
 }
 
 /// What one controller soak produced.
@@ -395,14 +409,10 @@ struct ControllerOutcome {
 /// of [`CONTROLLER_WINDOW`] packets, EWMA-smoothed loss fraction as the
 /// distress signal. Seeded per storm, so two soaks agree bit for bit.
 fn controller_soak(storm: StormClass) -> ControllerOutcome {
-    let mut chan = storm.loss_model();
-    let analytic_loss = storm.analytic_loss();
-    let si = StormClass::ALL
-        .iter()
-        .position(|&s| s == storm)
-        .unwrap_or(0);
-    let mut rng =
-        StdRng::seed_from_u64(0xC0DE_2026 ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut chan = storm.point().loss_model();
+    let analytic_loss = 1.0 - chan.success_rate();
+    let si = storm as usize;
+    let mut rng = StdRng::seed_from_u64(mix_seed(0xC0DE_2026, &[si]));
     let mut controller = DegradationController::new(ControllerConfig::default());
     let mut ewma = 0.0;
     let mut primed = false;
@@ -437,339 +447,48 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1] as f64
 }
 
-/// Generate the chaos soak matrix: storm class × transport, plus the
-/// per-storm controller soak folded into each row.
-///
-/// Always metered; each cell seeds its own RNGs from its coordinates so
-/// [`par_map`] evaluation cannot perturb a single value and two
-/// invocations agree bit for bit.
-pub fn chaos_matrix(effort: Effort) -> (Table, FigureMetrics) {
-    let frames = effort.frames.clamp(40, 120);
-    let clip = SceneGenerator::new(SceneConfig::qcif(MotionLevel::High, 7)).clip(frames);
-    let input = stream(frames);
-    let k = block_symbols(&input);
-    let overheads: Vec<f64> = StormClass::ALL
-        .iter()
-        .map(|&storm| storm_overhead(storm, k))
-        .collect();
-    // Recovery budget: the handshake plus ten GOPs of received packets —
-    // far above a healthy episode (one handshake + at most a few GOPs to
-    // the next intact I-frame) but far below "never recovered".
-    let mtu = PipelineConfig::default().mtu_payload;
-    let gop_packets: u64 = input
-        .iter()
-        .take(GOP)
-        .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
-        .sum();
-    let bound = HANDSHAKE_PACKETS + 10 * gop_packets;
-    let controllers: Vec<ControllerOutcome> = StormClass::ALL
-        .iter()
-        .map(|&storm| controller_soak(storm))
-        .collect();
-
-    let mut cells = Vec::new();
-    for (si, storm) in StormClass::ALL.into_iter().enumerate() {
-        for (pi, proto) in ProtocolKind::ALL.into_iter().enumerate() {
-            cells.push((storm, si, proto, cell_seed(si, pi), overheads[si]));
-        }
-    }
-    let results = par_map(&cells, |&(storm, si, proto, seed, overhead)| {
-        let metrics = MetricsRegistry::enabled();
-        let run = run_cell(&input, storm, proto, seed, overhead, false, &metrics);
-        // Determinism gate: same seed, fresh registry → bit-identical run.
-        let rerun = run_cell(
-            &input,
-            storm,
-            proto,
-            seed,
-            overhead,
-            false,
-            &MetricsRegistry::enabled(),
-        );
-        let reproducible = run.bit_identical(&rerun);
-        // Degradation gate: the lossless, fault-free twin bounds quality.
-        let clean = run_cell(
-            &input,
-            storm,
-            proto,
-            seed,
-            overhead,
-            true,
-            &MetricsRegistry::disabled(),
-        );
-        let psnr = concealed_psnr(&clip, &run.received);
-        let clean_psnr = concealed_psnr(&clip, &clean.received);
-        let mut durations = run.resync.durations();
-        durations.sort_unstable();
-        let ctl = controllers[si];
-        let row = Row {
-            label: format!("{}, {}", proto.label(), storm.label()),
-            values: vec![
-                ("sent".into(), run.sent as f64),
-                ("resync episodes".into(), durations.len() as f64),
-                ("recovery p50 (pkts)".into(), percentile(&durations, 0.50)),
-                ("recovery p95 (pkts)".into(), percentile(&durations, 0.95)),
-                ("recovery max (pkts)".into(), run.resync.max_duration() as f64),
-                (
-                    "recovery bounded".into(),
-                    run.resync.bounded_by(bound) as u8 as f64,
-                ),
-                ("timeouts".into(), run.timeouts as f64),
-                ("frames intact".into(), run.frames_intact() as f64),
-                ("frames".into(), frames as f64),
-                ("ΔPSNR vs clean (dB)".into(), clean_psnr - psnr),
-                (
-                    "goodput adaptive (Mbit/s)".into(),
-                    run.goodput_mbps(&input, run.stall_adaptive_s),
-                ),
-                (
-                    "goodput fixed (Mbit/s)".into(),
-                    run.goodput_mbps(&input, run.stall_fixed_s),
-                ),
-                ("controller flaps".into(), ctl.flaps as f64),
-                ("controller transitions".into(), ctl.transitions as f64),
-                ("controller rung".into(), ctl.rung.index() as f64),
-                ("controller settled".into(), ctl.settled as u8 as f64),
-                ("reproducible".into(), reproducible as u8 as f64),
-            ],
-        };
-        (row, metrics.snapshot())
-    });
-    let title = format!(
-        "Chaos soak matrix — {frames}-frame clip, GOP {GOP}, recovery bound {bound} pkts"
-    );
-    let (rows, snapshots): (Vec<Row>, Vec<_>) = results.into_iter().unzip();
-    let figure_metrics = FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    };
-    let table = Table {
-        title,
-        caption: format!(
-            "Four fault storms × three transports, every cell self-verifying: run and \
-             rerun must agree bit for bit, the lossless twin bounds PSNR from above, \
-             every stale-key resync episode must close within {bound} received packets \
-             (handshake {HANDSHAKE_PACKETS} + 10 GOPs), and the TCP rows replay one \
-             loss trace under the fixed {FIXED_RTO_S}s RTO and the Jacobson/Karn \
-             estimator (capped at the fixed value) — adaptive goodput may never trail \
-             fixed, and must strictly beat it in the deep fade. Controller columns \
-             come from a per-storm soak of the degradation ladder on EWMA-smoothed \
-             windowed loss: zero flaps, settled rung stable at the channel's analytic \
-             loss rate. Fountain ε per storm: {}.",
-            overheads
-                .iter()
-                .map(|e| format!("{e:.2}"))
-                .collect::<Vec<_>>()
-                .join("/")
-        ),
-        rows,
-    };
-    (table, figure_metrics)
-}
-
-/// Assert the soak's hard guarantees on a generated table; returns the
-/// violations (empty = pass). `reproduce chaos` exits nonzero on any.
-pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
-    let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
-    for row in &table.rows {
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
-            violations.push(format!("{}: run was not bit-reproducible", row.label));
-        }
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "recovery bounded") != 1.0 {
-            violations.push(format!(
-                "{}: a resync episode exceeded the recovery bound (max {})",
-                row.label,
-                col(row, "recovery max (pkts)")
-            ));
-        }
-        let delta = col(row, "ΔPSNR vs clean (dB)");
-        if delta.is_nan() || delta < -1e-9 {
-            violations.push(format!(
-                "{}: faulty run beat its clean twin (ΔPSNR = {delta})",
-                row.label
-            ));
-        }
-        let adaptive = col(row, "goodput adaptive (Mbit/s)");
-        let fixed = col(row, "goodput fixed (Mbit/s)");
-        if !adaptive.is_finite() || !fixed.is_finite() {
-            violations.push(format!("{}: goodput not finite", row.label));
-        } else if adaptive < fixed - 1e-9 {
-            violations.push(format!(
-                "{}: adaptive RTO goodput {adaptive} trails fixed {fixed}",
-                row.label
-            ));
-        }
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "controller flaps") != 0.0 {
-            violations.push(format!(
-                "{}: degradation controller flapped {} times",
-                row.label,
-                col(row, "controller flaps")
-            ));
-        }
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "controller settled") != 1.0 {
-            violations.push(format!(
-                "{}: controller settled on rung {} which is unstable at the \
-                 channel's analytic loss",
-                row.label,
-                col(row, "controller rung")
-            ));
-        }
-        let intact = col(row, "frames intact");
-        let frames = col(row, "frames");
-        if intact > frames {
-            violations.push(format!("{}: more frames intact than sent", row.label));
-        }
-        if row.label.starts_with("HTTP/TCP") && intact != frames {
-            violations.push(format!(
-                "{}: reliable transport lost frames ({intact}/{frames})",
-                row.label
-            ));
-        }
-    }
-    // The resync path must actually fire where stale keys are armed.
-    for storm in [StormClass::KeyRotation, StormClass::Gauntlet] {
-        let label = format!("{}, {}", ProtocolKind::Udp.label(), storm.label());
-        match table.rows.iter().find(|r| r.label == label) {
-            Some(row) if col(row, "resync episodes") < 1.0 => violations.push(format!(
-                "{label}: stale-key storm produced no resync episodes"
-            )),
-            None => violations.push(format!("missing row {label}")),
-            _ => {}
-        }
-    }
-    // Deep fade: the adaptive RTO must strictly out-goodput the fixed one
-    // (many timeouts, converged estimator — the tax gap must be visible).
-    let tcp_fade = format!(
-        "{}, {}",
-        ProtocolKind::Tcp.label(),
-        StormClass::DeepFade.label()
-    );
-    match table.rows.iter().find(|r| r.label == tcp_fade) {
-        Some(row) => {
-            let adaptive = col(row, "goodput adaptive (Mbit/s)");
-            let fixed = col(row, "goodput fixed (Mbit/s)");
-            // `partial_cmp` so a NaN goodput is a violation, not a pass.
-            if adaptive.partial_cmp(&fixed) != Some(std::cmp::Ordering::Greater) {
-                violations.push(format!(
-                    "{tcp_fade}: adaptive goodput {adaptive} did not beat fixed {fixed}"
-                ));
-            }
-            if col(row, "timeouts") < 1.0 {
-                violations.push(format!("{tcp_fade}: deep fade forced no timeouts"));
-            }
-        }
-        None => violations.push(format!("missing row {tcp_fade}")),
-    }
-    violations
+/// Generate and verify the chaos soak matrix: storm class × transport, one
+/// telemetry snapshot per cell in row order.
+pub fn chaos_matrix(effort: Effort) -> MatrixReport {
+    run_matrix::<ChaosMatrix>(effort)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::stream;
 
-    fn tiny() -> Effort {
-        Effort {
-            trials: 1,
-            frames: 40,
-        }
-    }
-
-    #[test]
-    fn matrix_covers_all_storms_and_transports() {
-        let (table, metrics) = chaos_matrix(tiny());
-        assert_eq!(
-            table.rows.len(),
-            StormClass::ALL.len() * ProtocolKind::ALL.len()
-        );
-        assert_eq!(metrics.cells.len(), table.rows.len());
-        for storm in StormClass::ALL {
-            for proto in ProtocolKind::ALL {
-                let label = format!("{}, {}", proto.label(), storm.label());
-                assert!(
-                    table.rows.iter().any(|r| r.label == label),
-                    "missing {label}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_passes_its_own_verification() {
-        let (table, _) = chaos_matrix(tiny());
-        let violations = verify_chaos_matrix(&table);
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn matrix_is_deterministic_across_invocations() {
-        let (a, ma) = chaos_matrix(tiny());
-        let (b, mb) = chaos_matrix(tiny());
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.label, rb.label);
-            for ((ka, va), (kb, vb)) in ra.values.iter().zip(&rb.values) {
-                assert_eq!(ka, kb);
-                assert_eq!(va.to_bits(), vb.to_bits(), "{}/{ka}", ra.label);
-            }
-        }
-        assert_eq!(ma.to_json(), mb.to_json(), "telemetry must be byte-stable");
+    /// One soak cell's faulty run from `seed`.
+    fn run_cell(
+        input: &[InputFrame],
+        storm: StormClass,
+        proto: ProtocolKind,
+        seed: u64,
+    ) -> TransportRun {
+        let cell = ChaosCell { storm, proto };
+        ChaosMatrix::new(input).run(input, &cell, seed, false, &MetricsRegistry::disabled())
     }
 
     #[test]
     fn adaptive_rto_never_stalls_longer_than_fixed() {
         let input = stream(40);
         for storm in StormClass::ALL {
-            let run = run_cell(
-                &input,
-                storm,
-                ProtocolKind::Tcp,
-                7,
-                0.0,
-                false,
-                &MetricsRegistry::disabled(),
-            );
+            let (fixed, adaptive) =
+                bill_stalls(&run_cell(&input, storm, ProtocolKind::Tcp, 7).trace);
             assert!(
-                run.stall_adaptive_s <= run.stall_fixed_s + 1e-12,
-                "{}: adaptive {} vs fixed {}",
-                storm.label(),
-                run.stall_adaptive_s,
-                run.stall_fixed_s
+                adaptive <= fixed + 1e-12,
+                "{}: adaptive {adaptive} vs fixed {fixed}",
+                storm.label()
             );
         }
         // The deep fade forces enough timeouts after convergence that the
         // adaptive biller is strictly cheaper.
-        let fade = run_cell(
-            &input,
-            StormClass::DeepFade,
-            ProtocolKind::Tcp,
-            7,
-            0.0,
-            false,
-            &MetricsRegistry::disabled(),
-        );
-        assert!(fade.timeouts > 0, "deep fade must force timeouts");
+        let fade = run_cell(&input, StormClass::DeepFade, ProtocolKind::Tcp, 7);
+        assert!(fade.timeouts() > 0, "deep fade must force timeouts");
+        let (fixed, adaptive) = bill_stalls(&fade.trace);
         assert!(
-            fade.stall_adaptive_s < fade.stall_fixed_s,
-            "adaptive {} must beat fixed {}",
-            fade.stall_adaptive_s,
-            fade.stall_fixed_s
+            adaptive < fixed,
+            "adaptive {adaptive} must beat fixed {fixed}"
         );
     }
 
@@ -778,39 +497,32 @@ mod tests {
         for storm in StormClass::ALL {
             let out = controller_soak(storm);
             assert_eq!(out.flaps, 0, "{} soak flapped", storm.label());
-            assert!(out.settled, "{} soak settled on an unstable rung", storm.label());
+            assert!(
+                out.settled,
+                "{} soak settled on an unstable rung",
+                storm.label()
+            );
         }
         // The deep fade must actually walk the ladder down to I-only.
         let fade = controller_soak(StormClass::DeepFade);
         assert_eq!(fade.rung, PolicyRung::IOnly);
         assert!(fade.transitions >= 2, "Full → Degraded → I-only");
         // The mild storms must stay at full quality.
-        assert_eq!(controller_soak(StormClass::KeyRotation).rung, PolicyRung::Full);
+        assert_eq!(
+            controller_soak(StormClass::KeyRotation).rung,
+            PolicyRung::Full
+        );
     }
 
     #[test]
     fn key_rotation_storm_produces_bounded_resync_episodes() {
         let input = stream(80);
-        let run = run_cell(
-            &input,
-            StormClass::KeyRotation,
-            ProtocolKind::Udp,
-            3,
-            0.0,
-            false,
-            &MetricsRegistry::disabled(),
-        );
+        let run = run_cell(&input, StormClass::KeyRotation, ProtocolKind::Udp, 3);
         assert!(
             !run.resync.episodes.is_empty(),
             "stale-key storm must desync the receiver at least once"
         );
-        let mtu = PipelineConfig::default().mtu_payload;
-        let gop_packets: u64 = input
-            .iter()
-            .take(GOP)
-            .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
-            .sum();
-        assert!(run.resync.bounded_by(HANDSHAKE_PACKETS + 10 * gop_packets));
+        assert!(run.resync.bounded_by(recovery_bound(&input)));
     }
 
     #[test]

@@ -37,8 +37,10 @@ use thrifty_fleet::{
 };
 use thrifty_telemetry::MetricsRegistry;
 
-use crate::parallel::par_map;
-use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
+use thrifty_fleet::par_map;
+
+use crate::matrix::{assemble, mix_seed};
+use crate::{Effort, FigureMetrics, Row, Table};
 
 /// The swept fleet sizes.
 pub const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
@@ -67,14 +69,6 @@ fn policies() -> [(&'static str, Policy); 3] {
     ]
 }
 
-/// Seed for a sweep cell, mixed from its coordinates so no two cells share
-/// flow streams.
-fn cell_seed(n_flows: usize, policy_index: usize) -> u64 {
-    0xF1EE_7001
-        ^ (n_flows as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (policy_index as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
 /// One metered engine run from a cold cache. Returns the result together
 /// with the cell registry's snapshot (which carries the solve-cache
 /// hit/miss counters alongside the merged per-flow telemetry).
@@ -97,7 +91,7 @@ fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
     let results = par_map(&cells, |&(n, pi, label, policy)| {
         let mut cfg = FleetConfig::paper_fleet(n, policy);
         cfg.frames = frames;
-        cfg.seed = cell_seed(n, pi);
+        cfg.seed = mix_seed(0xF1EE_7001, &[n, pi]);
         let (run, cell_snapshot) = run_cell(cfg);
         // Reproducibility gate: a second metered run from the same seed,
         // cold cache and fresh registries, must agree bit for bit — merged
@@ -139,35 +133,21 @@ fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
         };
         (row, cell_snapshot)
     });
-    let title = format!("Fleet scaling — {frames}-frame clips, 4 background stations");
-    let (rows, snapshots): (Vec<Row>, Vec<_>) = results.into_iter().unzip();
-    let figure_metrics = FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    };
-    let table = Table {
-        title,
-        caption: "N concurrent uploaders contending for one AP (stations = N + 4 \
-                  background). Contention is coupled through the live station count \
-                  fed to the Bianchi DCF fixed point; per-flow RNG streams and \
-                  flow-id-ordered telemetry merges make every cell bit-reproducible \
-                  (`reproducible` = 1, same-seed double run). `single-sender ==` = 1 \
-                  on the N=1 rows certifies byte-identity with the pre-fleet \
-                  sequential sender path. `solver residual` is the relative \
-                  disagreement between the 2-state and n-state MMPP/G/1 solvers on \
-                  the cell's queue; `cache hit rate` is the solve-cache's share of \
-                  lookups answered without re-solving."
+    assemble(
+        format!("Fleet scaling — {frames}-frame clips, 4 background stations"),
+        "N concurrent uploaders contending for one AP (stations = N + 4 \
+         background). Contention is coupled through the live station count \
+         fed to the Bianchi DCF fixed point; per-flow RNG streams and \
+         flow-id-ordered telemetry merges make every cell bit-reproducible \
+         (`reproducible` = 1, same-seed double run). `single-sender ==` = 1 \
+         on the N=1 rows certifies byte-identity with the pre-fleet \
+         sequential sender path. `solver residual` is the relative \
+         disagreement between the 2-state and n-state MMPP/G/1 solvers on \
+         the cell's queue; `cache hit rate` is the solve-cache's share of \
+         lookups answered without re-solving."
             .into(),
-        rows,
-    };
-    (table, figure_metrics)
+        results,
+    )
 }
 
 /// Generate the fleet scaling sweep over [`FLEET_SIZES`] × three policies.

@@ -35,9 +35,9 @@ pub fn golden_figures() -> Vec<(&'static str, Table)> {
         ("table2", table2(effort)),
         ("headline", headline()),
         ("ablation_d_percentiles", ablation_percentiles()),
-        ("fountain_matrix", fountain_matrix(effort).0),
-        ("fault_matrix", fault_matrix(effort).0),
-        ("chaos_matrix", chaos_matrix(effort).0),
+        ("fountain_matrix", fountain_matrix(effort).table),
+        ("fault_matrix", fault_matrix(effort).table),
+        ("chaos_matrix", chaos_matrix(effort).table),
     ]
 }
 

@@ -25,22 +25,18 @@ pub mod faults;
 pub mod fleet;
 pub mod fountain;
 pub mod golden;
+mod matrix;
 pub mod throughput;
 
-/// The work-stealing map primitives now live in `thrifty-fleet` (the fleet
-/// engine shards flows through them); re-exported here so existing
-/// `thrifty_bench::parallel::par_map` call sites keep compiling.
-pub use thrifty_fleet::parallel;
-
-pub use chaos::{chaos_matrix, verify_chaos_matrix, StormClass};
-pub use faults::{fault_matrix, verify_fault_matrix, ChannelKind, FaultClass, TransportKind};
-pub use fountain::{fountain_matrix, verify_fountain_matrix, LossPoint, ProtocolKind};
+pub use chaos::{chaos_matrix, StormClass};
+pub use faults::{fault_matrix, FaultClass};
 pub use fleet::{
     bench_fleet_json, fleet_sweep, scale_sweep, verify_fleet_sweep, verify_scale_sweep,
     ScaleBench, FLEET_SIZES, SCALE_SIZES, SCALE_SIZE_FULL,
 };
+pub use fountain::fountain_matrix;
 pub use golden::{diff_against_golden, golden_effort, golden_figures, parse_table_json};
-pub use parallel::{par_flat_map, par_map};
+pub use matrix::{LossPoint, MatrixReport, ProtocolKind};
 pub use throughput::{
     bench_cipher_json, measure_cipher_throughput, validate_bench_cipher_schema, CipherThroughput,
     SEGMENT_LEN,
@@ -58,6 +54,7 @@ use thrifty::video::motion::MotionLevel;
 use thrifty::video::quality::distortion_vs_distance;
 use thrifty::video::scene::{SceneConfig, SceneGenerator};
 use thrifty::{headline_metrics, PolicyAdvisor, PrivacyPreference};
+use thrifty_fleet::{par_flat_map, par_map};
 use thrifty_telemetry::{MetricsRegistry, Snapshot, Stage};
 
 /// How many trials and frames the regeneration runs use. The paper uses 20

@@ -47,10 +47,11 @@ fn chaos_quick_prints_the_verified_matrix() {
     let out = reproduce(&["chaos", "--quick"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let (table, _) = chaos_matrix(Effort {
+    let table = chaos_matrix(Effort {
         trials: 1,
         frames: 40,
-    });
+    })
+    .table;
     assert!(
         stdout.contains(&table.to_markdown()),
         "stdout lacks the chaos --quick table:\n{stdout}"

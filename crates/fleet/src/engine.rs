@@ -12,8 +12,8 @@
 //! from its own [`flow_rng`] stream and owns its own `MetricsRegistry`,
 //! and the final merge walks flows in fixed flow-id order — so the result
 //! is bit-identical across invocations *and* across shard counts, and
-//! bit-identical to the retained sequential loop
-//! ([`FleetEngine::run_reference`]).
+//! bit-identical to the retained sequential loop (the test oracle
+//! `FleetEngine::run_reference` in this module's tests).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -298,30 +298,14 @@ impl FleetEngine {
     /// interleave across the shard's flows in global sim-time order. Each
     /// machine draws only from its own [`flow_rng`] stream and writes only
     /// its own registry, so the result is bit-identical to the retained
-    /// per-flow loop ([`run_reference`](Self::run_reference)) — a relation
-    /// the engine tests assert for N ∈ {1, 2, 5}.
+    /// per-flow loop (the tests' `run_reference` oracle) — a relation the
+    /// engine tests assert for N ∈ {1, 2, 5}.
     pub fn run(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
         let shards = self.shard_ranges();
         metrics.counter("fleet.flows").add(self.config.n_flows as u64);
         metrics.counter("fleet.shards").add(shards.len() as u64);
         let shard_runs: Vec<Vec<FlowRun>> =
             par_map(&shards, |range| self.run_shard(range.clone(), cache, metrics));
-        self.merge(shard_runs, cache, metrics)
-    }
-
-    /// The retained pre-calendar fleet path: identical shard partition and
-    /// merge, but every flow runs the legacy sequential per-packet loop.
-    /// Kept as the oracle [`run`](Self::run) is proven against.
-    pub fn run_reference(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
-        let shards = self.shard_ranges();
-        metrics.counter("fleet.flows").add(self.config.n_flows as u64);
-        metrics.counter("fleet.shards").add(shards.len() as u64);
-        let shard_runs: Vec<Vec<FlowRun>> = par_map(&shards, |range| {
-            range
-                .clone()
-                .map(|flow| self.run_flow_reference(flow, cache, metrics))
-                .collect()
-        });
         self.merge(shard_runs, cache, metrics)
     }
 
@@ -443,23 +427,6 @@ impl FleetEngine {
             .collect()
     }
 
-    /// One flow through the retained sequential loop — the pre-calendar
-    /// hot path, kept verbatim for [`run_reference`](Self::run_reference).
-    fn run_flow_reference(
-        &self,
-        flow: usize,
-        cache: &SolveCache,
-        metrics: &MetricsRegistry,
-    ) -> FlowRun {
-        let (params, mut rng, registry) = self.flow_setup(flow, cache, metrics);
-        let summary = SenderSim::new(&params, self.config.policy).run_metered_reference(
-            &self.stream,
-            &mut rng,
-            &registry,
-        );
-        self.outcome_of(flow, &summary, registry.snapshot())
-    }
-
     fn outcome_of(&self, flow: usize, summary: &SenderSummary, snapshot: Snapshot) -> FlowRun {
         let cfg = &self.config;
         let sens = cfg.motion.sensitivity_fraction();
@@ -542,6 +509,43 @@ mod tests {
     use super::*;
     use thrifty_analytic::policy::EncryptionMode;
     use thrifty_crypto::Algorithm;
+
+    impl FleetEngine {
+        /// The retained pre-calendar fleet path: identical shard partition and
+        /// merge, but every flow runs the legacy sequential per-packet loop.
+        /// Kept as the oracle [`run`](Self::run) is proven against.
+        fn run_reference(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
+            let shards = self.shard_ranges();
+            metrics
+                .counter("fleet.flows")
+                .add(self.config.n_flows as u64);
+            metrics.counter("fleet.shards").add(shards.len() as u64);
+            let shard_runs: Vec<Vec<FlowRun>> = par_map(&shards, |range| {
+                range
+                    .clone()
+                    .map(|flow| self.run_flow_reference(flow, cache, metrics))
+                    .collect()
+            });
+            self.merge(shard_runs, cache, metrics)
+        }
+
+        /// One flow through the retained sequential loop — the pre-calendar
+        /// hot path, kept verbatim for [`run_reference`](Self::run_reference).
+        fn run_flow_reference(
+            &self,
+            flow: usize,
+            cache: &SolveCache,
+            metrics: &MetricsRegistry,
+        ) -> FlowRun {
+            let (params, mut rng, registry) = self.flow_setup(flow, cache, metrics);
+            let summary = SenderSim::new(&params, self.config.policy).run_metered_reference(
+                &self.stream,
+                &mut rng,
+                &registry,
+            );
+            self.outcome_of(flow, &summary, registry.snapshot())
+        }
+    }
 
     fn small(n_flows: usize) -> FleetConfig {
         let mut cfg = FleetConfig::paper_fleet(

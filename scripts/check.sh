@@ -54,34 +54,22 @@ cmp "$tmp/metrics_a.json" "$tmp/metrics_b.json"
 ./target/release/reproduce table2 fig12 --no-bench-json > "$tmp/out_plain.txt"
 cmp "$tmp/out_a.txt" "$tmp/out_plain.txt"
 
-echo "==> fault-matrix smoke sweep (zero panics/deadlocks, bounded wall-clock)"
-# The binary exits non-zero on any guarantee violation (panic, deadlock,
-# non-reproducible cell, faulty run beating its clean twin); `timeout`
-# bounds a hung pipeline — a deadlock fails the gate as exit 124.
-timeout 600 ./target/release/reproduce faults --no-bench-json > "$tmp/faults_a.txt"
-timeout 600 ./target/release/reproduce faults --no-bench-json > "$tmp/faults_b.txt"
-cmp "$tmp/faults_a.txt" "$tmp/faults_b.txt"
-
-echo "==> fountain protocol-matrix smoke (self-verifying; double run must be byte-identical)"
-# UDP vs TCP vs LT-fountain across three loss points and four policies.
-# The binary exits non-zero on any self-check violation (a non-reproducible
-# cell, ΔPSNR below the lossless twin, a reliable-transport frame loss, or
-# the deep-fade goodput crossover failing to appear); `timeout` turns a
-# peeling or retransmission hang into exit 124.
-timeout 600 ./target/release/reproduce fountain --no-bench-json > "$tmp/fountain_a.txt"
-timeout 600 ./target/release/reproduce fountain --no-bench-json > "$tmp/fountain_b.txt"
-cmp "$tmp/fountain_a.txt" "$tmp/fountain_b.txt"
-
-echo "==> chaos soak smoke (self-verifying; double run must be byte-identical)"
-# Fault storms across all three transports with the recovery layer armed.
-# The binary exits non-zero on any recover-gate violation (an unbounded
-# recovery episode, a controller flap, adaptive-RTO goodput below the
-# fixed-RTO baseline, a non-reproducible cell, or ΔPSNR regressing against
-# the clean twin); `timeout` turns a resync or retransmission hang into
-# exit 124.
-timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/chaos_a.txt"
-timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/chaos_b.txt"
-cmp "$tmp/chaos_a.txt" "$tmp/chaos_b.txt"
+echo "==> self-verifying matrices: faults, fountain, chaos --quick (double run must be byte-identical)"
+# Each matrix runs every cell twice from its seed and against its clean
+# twin, and the binary exits non-zero on any violated invariant: a
+# non-reproducible cell, a faulty run beating its clean twin, an armed
+# fault class injecting nothing, a reliable-transport frame loss, the
+# deep-fade goodput crossover failing to appear, an unbounded recovery
+# episode, a controller flap, or adaptive-RTO goodput below the fixed-RTO
+# baseline. `timeout` turns a deadlock, a peeling or retransmission hang or
+# a resync hang into exit 124; the two stdouts must match byte for byte.
+# shellcheck disable=SC2086  # $matrix splits on purpose: "chaos --quick"
+for matrix in "faults" "fountain" "chaos --quick"; do
+  out="$tmp/${matrix%% *}"
+  timeout 600 ./target/release/reproduce $matrix --no-bench-json > "${out}_a.txt"
+  timeout 600 ./target/release/reproduce $matrix --no-bench-json > "${out}_b.txt"
+  cmp "${out}_a.txt" "${out}_b.txt"
+done
 
 echo "==> fleet --quick smoke gate (N=10^4 on the event calendar; hang fails as exit 124)"
 # One 10^4-flow cell on the discrete-event scale path, self-verified
