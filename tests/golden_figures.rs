@@ -81,6 +81,7 @@ fn golden_snapshots_are_committed() {
         "fountain_matrix",
         "fault_matrix",
         "chaos_matrix",
+        "scale_sweep",
     ] {
         assert!(
             dir.join(format!("{name}.json")).is_file(),
