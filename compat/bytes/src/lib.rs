@@ -5,10 +5,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod pool;
-
-pub use pool::{BufferPool, PoolStats, PooledBuf};
-
 /// Sink for serialising integers and slices, mirroring `bytes::BufMut`.
 pub trait BufMut {
     /// Append one byte.

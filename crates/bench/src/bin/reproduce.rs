@@ -294,11 +294,11 @@ fn main() {
         let mut violations = Vec::new();
         if !quick {
             timed("fleet", &mut timings, &mut || {
-                let (t, m) = fleet_sweep(effort);
-                emit(&t);
-                violations = verify_fleet_sweep(&t);
+                let report = fleet_sweep(effort);
+                emit(&report.table);
+                violations = report.violations;
                 if metrics_on {
-                    figure_metrics.push(m);
+                    figure_metrics.push(report.metrics);
                 }
             });
         }
@@ -316,10 +316,10 @@ fn main() {
         };
         let mut scale_bench = Vec::new();
         timed("fleet-scale", &mut timings, &mut || {
-            let (t, bench) = scale_sweep(&scale_sizes);
-            emit(&t);
-            violations.extend(verify_scale_sweep(&t));
-            scale_bench = bench;
+            let report = scale_sweep(&scale_sizes);
+            emit(&report.table);
+            violations.extend(report.violations);
+            scale_bench = report.bench;
         });
         if !skip_bench_json {
             write_artifact("BENCH_fleet.json", &bench_fleet_json(&scale_bench));

@@ -6,7 +6,8 @@
 //! delay distribution (mean/p50/p95/p99), aggregate delivered goodput, the
 //! eavesdropper's PSNR, the analytic prediction at the coupled station
 //! count, and the solve-cache hit rate. Three hard guarantees are encoded
-//! as table columns and gated by [`verify_fleet_sweep`]:
+//! as table columns and checked on each cell's typed result while its row
+//! is built (the violations come back in the [`MatrixReport`]):
 //!
 //! * **`single-sender ==`** — the N = 1 cell is *byte-identical* to the
 //!   existing single-sender path (plain [`ScenarioParams::calibrated`] +
@@ -19,7 +20,7 @@
 //!
 //! Beyond the full-fidelity sweep, [`scale_sweep`] drives the lean
 //! event-calendar path (`thrifty_fleet::scale`) out to N = 10^5 flows by
-//! default and 10^6 under `--full`, verifying one-event-per-packet
+//! default and 10^6 under `--full`, checking one-event-per-packet
 //! dispatch and double-run bit-identity, and recording events/sec + peak
 //! RSS per N into `BENCH_fleet.json` (wall-clock numbers never reach
 //! stdout, which stays byte-stable).
@@ -33,14 +34,13 @@ use std::time::Instant;
 use thrifty::analytic::policy::{EncryptionMode, Policy};
 use thrifty::crypto::Algorithm;
 use thrifty_fleet::{
-    single_sender_reference, FleetConfig, FleetEngine, ScaleConfig, ScaleEngine, SolveCache,
+    par_map, single_sender_reference, FleetConfig, FleetEngine, FleetResult, FlowOutcome,
+    ScaleConfig, ScaleEngine, ScaleResult, SolveCache,
 };
-use thrifty_telemetry::MetricsRegistry;
-
-use thrifty_fleet::par_map;
+use thrifty_telemetry::{MetricsRegistry, Snapshot};
 
 use crate::matrix::{assemble, mix_seed};
-use crate::{Effort, FigureMetrics, Row, Table};
+use crate::{Effort, MatrixReport, Row, Table};
 
 /// The swept fleet sizes.
 pub const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
@@ -72,7 +72,7 @@ fn policies() -> [(&'static str, Policy); 3] {
 /// One metered engine run from a cold cache. Returns the result together
 /// with the cell registry's snapshot (which carries the solve-cache
 /// hit/miss counters alongside the merged per-flow telemetry).
-fn run_cell(cfg: FleetConfig) -> (thrifty_fleet::FleetResult, thrifty_telemetry::Snapshot) {
+fn run_cell(cfg: FleetConfig) -> (FleetResult, Snapshot) {
     let cache = SolveCache::new();
     let metrics = MetricsRegistry::enabled();
     let engine = FleetEngine::prepare(cfg, &cache, &metrics);
@@ -80,7 +80,118 @@ fn run_cell(cfg: FleetConfig) -> (thrifty_fleet::FleetResult, thrifty_telemetry:
     (result, metrics.snapshot())
 }
 
-fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
+/// One fleet cell's typed outcome, which both its row and its checks read.
+struct FleetCell {
+    run: FleetResult,
+    snapshot: Snapshot,
+    /// A second metered run from the same seed, cold cache and fresh
+    /// registries.
+    rerun: (FleetResult, Snapshot),
+    /// The pre-fleet sequential path's outcome, on the N = 1 cells only.
+    single: Option<FlowOutcome>,
+}
+
+impl FleetCell {
+    fn new(cfg: FleetConfig) -> Self {
+        let (run, snapshot) = run_cell(cfg);
+        FleetCell {
+            run,
+            snapshot,
+            rerun: run_cell(cfg),
+            single: (cfg.n_flows == 1).then(|| single_sender_reference(&cfg)),
+        }
+    }
+
+    /// The run and its rerun agree bit for bit, merged per-flow telemetry
+    /// and cell counters included.
+    fn reproducible(&self) -> bool {
+        self.run.bit_identical(&self.rerun.0) && self.snapshot.to_json() == self.rerun.1.to_json()
+    }
+
+    /// The N = 1 cell reproduces the single-sender path byte for byte
+    /// (vacuous above N = 1).
+    fn single_identical(&self) -> bool {
+        self.single
+            .as_ref()
+            .is_none_or(|single| self.run.flows[0].bit_identical(single))
+    }
+
+    fn hit_rate(&self) -> f64 {
+        SolveCache::hit_rate(&self.snapshot).unwrap_or(f64::NAN)
+    }
+
+    fn row(&self, label: String) -> Row {
+        let run = &self.run;
+        let per_flow_goodput =
+            run.flows.iter().map(|f| f.throughput_bps).sum::<f64>() / run.flows.len() as f64;
+        Row {
+            label,
+            values: vec![
+                ("flows".into(), run.flows.len() as f64),
+                ("stations".into(), run.stations as f64),
+                ("mean delay (ms)".into(), run.mean_delay_s * 1e3),
+                ("p50 (ms)".into(), run.p50_delay_s * 1e3),
+                ("p95 (ms)".into(), run.p95_delay_s * 1e3),
+                ("p99 (ms)".into(), run.p99_delay_s * 1e3),
+                (
+                    "analytic delay (ms)".into(),
+                    run.analytic.mean_delay_s * 1e3,
+                ),
+                ("per-flow goodput (kb/s)".into(), per_flow_goodput / 1e3),
+                (
+                    "aggregate (kb/s)".into(),
+                    run.aggregate_throughput_bps / 1e3,
+                ),
+                ("eve PSNR (dB)".into(), run.psnr_eve_db),
+                ("solver residual".into(), run.cross_solver_rel()),
+                ("cache hit rate".into(), self.hit_rate()),
+                (
+                    "single-sender ==".into(),
+                    self.single_identical() as u8 as f64,
+                ),
+                ("reproducible".into(), self.reproducible() as u8 as f64),
+            ],
+        }
+    }
+
+    /// The sweep's hard guarantees on this cell; empty = pass.
+    fn violations(&self, label: &str) -> Vec<String> {
+        let run = &self.run;
+        let mut violations = Vec::new();
+        if !self.reproducible() {
+            violations.push(format!("{label}: metered run was not bit-reproducible"));
+        }
+        if !self.single_identical() {
+            violations.push(format!(
+                "{label}: N=1 cell diverged from the single-sender path"
+            ));
+        }
+        let residual = run.cross_solver_rel();
+        if residual.is_nan() || residual >= 1e-6 {
+            violations.push(format!(
+                "{label}: 2-state vs n-state solver residual {residual}"
+            ));
+        }
+        let hit_rate = self.hit_rate();
+        if !(0.0..=1.0).contains(&hit_rate) {
+            violations.push(format!("{label}: bad cache hit rate {hit_rate}"));
+        }
+        if run.flows.len() >= 100 && (hit_rate.is_nan() || hit_rate <= 0.9) {
+            violations.push(format!(
+                "{label}: solve-cache hit rate {hit_rate} ≤ 0.9 on the 100-flow cell"
+            ));
+        }
+        let (p50, p95, p99) = (run.p50_delay_s, run.p95_delay_s, run.p99_delay_s);
+        if !(p50 <= p95 && p95 <= p99) {
+            violations.push(format!(
+                "{label}: percentiles out of order ({p50}, {p95}, {p99}) s"
+            ));
+        }
+        violations
+    }
+}
+
+fn sweep(effort: Effort, sizes: &[usize]) -> MatrixReport {
     let frames = effort.frames.clamp(40, 150);
     let mut cells = Vec::new();
     for &n in sizes {
@@ -92,48 +203,13 @@ fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
         let mut cfg = FleetConfig::paper_fleet(n, policy);
         cfg.frames = frames;
         cfg.seed = mix_seed(0xF1EE_7001, &[n, pi]);
-        let (run, cell_snapshot) = run_cell(cfg);
-        // Reproducibility gate: a second metered run from the same seed,
-        // cold cache and fresh registries, must agree bit for bit — merged
-        // per-flow telemetry and cell counters included.
-        let (rerun, rerun_snapshot) = run_cell(cfg);
-        let reproducible =
-            run.bit_identical(&rerun) && cell_snapshot.to_json() == rerun_snapshot.to_json();
-        // Single-sender gate (N = 1 only): the engine cell must reproduce
-        // the pre-fleet sequential path byte for byte.
-        let single_identical = if n == 1 {
-            run.flows[0].bit_identical(&single_sender_reference(&cfg))
-        } else {
-            true // vacuous above N = 1
-        };
-        let hit_rate = SolveCache::hit_rate(&cell_snapshot).unwrap_or(f64::NAN);
-        let per_flow_goodput =
-            run.flows.iter().map(|f| f.throughput_bps).sum::<f64>() / run.flows.len() as f64;
-        let row = Row {
-            label: format!("N={n}, {label}"),
-            values: vec![
-                ("flows".into(), n as f64),
-                ("stations".into(), run.stations as f64),
-                ("mean delay (ms)".into(), run.mean_delay_s * 1e3),
-                ("p50 (ms)".into(), run.p50_delay_s * 1e3),
-                ("p95 (ms)".into(), run.p95_delay_s * 1e3),
-                ("p99 (ms)".into(), run.p99_delay_s * 1e3),
-                ("analytic delay (ms)".into(), run.analytic.mean_delay_s * 1e3),
-                ("per-flow goodput (kb/s)".into(), per_flow_goodput / 1e3),
-                (
-                    "aggregate (kb/s)".into(),
-                    run.aggregate_throughput_bps / 1e3,
-                ),
-                ("eve PSNR (dB)".into(), run.psnr_eve_db),
-                ("solver residual".into(), run.cross_solver_rel()),
-                ("cache hit rate".into(), hit_rate),
-                ("single-sender ==".into(), single_identical as u8 as f64),
-                ("reproducible".into(), reproducible as u8 as f64),
-            ],
-        };
-        (row, cell_snapshot)
+        (format!("N={n}, {label}"), FleetCell::new(cfg))
     });
-    assemble(
+    let violations = results
+        .iter()
+        .flat_map(|(label, cell)| cell.violations(label))
+        .collect();
+    let (table, metrics) = assemble(
         format!("Fleet scaling — {frames}-frame clips, 4 background stations"),
         "N concurrent uploaders contending for one AP (stations = N + 4 \
          background). Contention is coupled through the live station count \
@@ -146,70 +222,29 @@ fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
          the cell's queue; `cache hit rate` is the solve-cache's share of \
          lookups answered without re-solving."
             .into(),
-        results,
-    )
+        results
+            .into_iter()
+            .map(|(label, cell)| (cell.row(label), cell.snapshot))
+            .collect(),
+    );
+    MatrixReport {
+        table,
+        metrics,
+        violations,
+    }
 }
 
-/// Generate the fleet scaling sweep over [`FLEET_SIZES`] × three policies.
+/// Generate the fleet scaling sweep over [`FLEET_SIZES`] × three policies,
+/// with every violated guarantee (empty = pass). `reproduce fleet` exits
+/// non-zero when any check fails, so CI catches a determinism or caching
+/// regression.
 ///
-/// Always metered: the returned [`FigureMetrics`] carries one snapshot per
-/// cell (merged per-flow telemetry plus the cell's solve-cache counters).
+/// Always metered: the report's metrics carry one snapshot per cell
+/// (merged per-flow telemetry plus the cell's solve-cache counters).
 /// Cells seed their flows from their sweep coordinates, so [`par_map`]
 /// evaluation cannot perturb values and two invocations agree bit for bit.
-pub fn fleet_sweep(effort: Effort) -> (Table, FigureMetrics) {
+pub fn fleet_sweep(effort: Effort) -> MatrixReport {
     sweep(effort, &FLEET_SIZES)
-}
-
-/// Assert the sweep's hard guarantees on a generated table; returns the
-/// violations (empty = pass). `reproduce fleet` exits non-zero when any
-/// check fails, so CI catches a determinism or caching regression.
-pub fn verify_fleet_sweep(table: &Table) -> Vec<String> {
-    let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
-    for row in &table.rows {
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
-            violations.push(format!("{}: metered run was not bit-reproducible", row.label));
-        }
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "single-sender ==") != 1.0 {
-            violations.push(format!(
-                "{}: N=1 cell diverged from the single-sender path",
-                row.label
-            ));
-        }
-        let residual = col(row, "solver residual");
-        if residual.is_nan() || residual >= 1e-6 {
-            violations.push(format!(
-                "{}: 2-state vs n-state solver residual {residual}",
-                row.label
-            ));
-        }
-        let hit_rate = col(row, "cache hit rate");
-        if !(0.0..=1.0).contains(&hit_rate) {
-            violations.push(format!("{}: bad cache hit rate {hit_rate}", row.label));
-        }
-        if col(row, "flows") >= 100.0 && (hit_rate.is_nan() || hit_rate <= 0.9) {
-            violations.push(format!(
-                "{}: solve-cache hit rate {hit_rate} ≤ 0.9 on the 100-flow cell",
-                row.label
-            ));
-        }
-        let (p50, p95, p99) = (col(row, "p50 (ms)"), col(row, "p95 (ms)"), col(row, "p99 (ms)"));
-        if !(p50 <= p95 && p95 <= p99) {
-            violations.push(format!(
-                "{}: percentiles out of order ({p50}, {p95}, {p99})",
-                row.label
-            ));
-        }
-    }
-    violations
 }
 
 /// Wall-clock and memory measurements for one scale cell. A side channel on
@@ -246,34 +281,37 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// The scale-path sweep: N ∈ `sizes` lean flows on the event calendar
-/// (`thrifty_fleet::scale`), one cell per N, all sharing one solve cache
-/// (every cell runs at the same per-cell DCF operating point, so the first
-/// cell's solve is every later cell's hit).
-///
-/// The returned table holds **only deterministic columns** — counts, delays
-/// and the double-run indicator — and renders byte-identically on every
-/// invocation. Throughput (events/sec) and peak RSS ride in the
-/// [`ScaleBench`] rows, destined for `BENCH_fleet.json`.
-pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
-    let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
-    let cache = SolveCache::new();
-    let metrics = MetricsRegistry::enabled();
-    let mut rows = Vec::new();
-    let mut bench = Vec::new();
-    for &n in sizes {
-        let cfg = ScaleConfig::paper_scale(n, policy);
-        let engine = ScaleEngine::prepare(cfg, &cache, &metrics);
-        // lint:allow(det-wall-clock): wall-clock feeds BENCH_fleet.json only; every table value is deterministic
-        let start = Instant::now();
-        let run = engine.run();
-        let wall_s = start.elapsed().as_secs_f64();
-        // Double-run bit-identity, re-checked in-process up to N = 10^4
-        // (cheap); above that the indicator is vacuous here and the gate is
-        // check.sh's byte-compare of two full `reproduce fleet` runs.
-        let reproducible = n > 10_000 || engine.run().bit_identical(&run);
-        rows.push(Row {
-            label: format!("N={n}"),
+/// What the scale sweep produced.
+#[derive(Debug, Clone)]
+pub struct ScaleReport {
+    /// One deterministic row per N.
+    pub table: Table,
+    /// One wall-clock measurement per N, for `BENCH_fleet.json`.
+    pub bench: Vec<ScaleBench>,
+    /// Every violated guarantee (empty = pass).
+    pub violations: Vec<String>,
+}
+
+/// One scale cell's typed outcome, which both its row and its checks read.
+struct ScaleCell {
+    run: ScaleResult,
+    /// A same-seed second run, made in-process up to N = 10^4 (cheap);
+    /// above that the byte-compare of two full `reproduce fleet` runs in
+    /// check.sh is the gate.
+    rerun: Option<ScaleResult>,
+}
+
+impl ScaleCell {
+    fn reproducible(&self) -> bool {
+        self.rerun
+            .as_ref()
+            .is_none_or(|rerun| rerun.bit_identical(&self.run))
+    }
+
+    fn row(&self) -> Row {
+        let run = &self.run;
+        Row {
+            label: format!("N={}", run.flows),
             values: vec![
                 ("flows".into(), run.flows as f64),
                 ("stations/cell".into(), run.cell_stations as f64),
@@ -289,9 +327,73 @@ pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
                     "aggregate (Mb/s)".into(),
                     run.aggregate_throughput_bps / 1e6,
                 ),
-                ("reproducible".into(), reproducible as u8 as f64),
+                ("reproducible".into(), self.reproducible() as u8 as f64),
             ],
-        });
+        }
+    }
+
+    /// The scale sweep's hard guarantees on this cell; empty = pass.
+    fn violations(&self) -> Vec<String> {
+        let run = &self.run;
+        let label = format!("N={}", run.flows);
+        let mut violations = Vec::new();
+        if !self.reproducible() {
+            violations.push(format!("{label}: scale run was not bit-reproducible"));
+        }
+        let (packets, events) = (run.packets, run.events);
+        if packets != events || packets == 0 {
+            violations.push(format!(
+                "{label}: calendar must dispatch exactly one event per packet ({events} vs {packets})"
+            ));
+        }
+        let delivered = run.delivered;
+        if !(delivered > 0 && delivered <= packets) {
+            violations.push(format!(
+                "{label}: delivered count {delivered} outside (0, {packets}]"
+            ));
+        }
+        let mean = run.mean_delay_s;
+        if !(mean.is_finite() && mean > 0.0) {
+            violations.push(format!("{label}: unphysical mean delay {mean} s"));
+        }
+        let (p50, p95, p99) = (run.p50_delay_s, run.p95_delay_s, run.p99_delay_s);
+        if !(p50 <= p95 && p95 <= p99) {
+            violations.push(format!(
+                "{label}: percentiles out of order ({p50}, {p95}, {p99}) s"
+            ));
+        }
+        if !(run.makespan_s > 0.0 && run.aggregate_throughput_bps > 0.0) {
+            violations.push(format!("{label}: degenerate makespan or throughput"));
+        }
+        violations
+    }
+}
+
+/// The scale-path sweep: N ∈ `sizes` lean flows on the event calendar
+/// (`thrifty_fleet::scale`), one cell per N, all sharing one solve cache
+/// (every cell runs at the same per-cell DCF operating point, so the first
+/// cell's solve is every later cell's hit). `reproduce fleet` exits
+/// non-zero when the report carries any violation.
+///
+/// The table holds **only deterministic columns** — counts, delays and
+/// the double-run indicator — and renders byte-identically on every
+/// invocation. Throughput (events/sec) and peak RSS ride in the
+/// [`ScaleBench`] rows, destined for `BENCH_fleet.json`.
+pub fn scale_sweep(sizes: &[usize]) -> ScaleReport {
+    let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
+    let cache = SolveCache::new();
+    let metrics = MetricsRegistry::enabled();
+    let mut rows = Vec::new();
+    let mut bench = Vec::new();
+    let mut violations = Vec::new();
+    for &n in sizes {
+        let cfg = ScaleConfig::paper_scale(n, policy);
+        let engine = ScaleEngine::prepare(cfg, &cache, &metrics);
+        // lint:allow(det-wall-clock): wall-clock feeds BENCH_fleet.json only; every table value is deterministic
+        let start = Instant::now();
+        let run = engine.run();
+        let wall_s = start.elapsed().as_secs_f64();
+        let rerun = (n <= 10_000).then(|| engine.run());
         bench.push(ScaleBench {
             flows: n,
             events: run.events,
@@ -299,6 +401,9 @@ pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
             wall_s,
             peak_rss_bytes: peak_rss_bytes(),
         });
+        let cell = ScaleCell { run, rerun };
+        rows.push(cell.row());
+        violations.extend(cell.violations());
     }
     let table = Table {
         title: "Fleet scaling — event-calendar scale path".into(),
@@ -313,57 +418,11 @@ pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
             .into(),
         rows,
     };
-    (table, bench)
-}
-
-/// Assert the scale sweep's hard guarantees; returns violations (empty =
-/// pass). `reproduce fleet` exits non-zero when any check fails.
-pub fn verify_scale_sweep(table: &Table) -> Vec<String> {
-    let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
-    for row in &table.rows {
-        // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
-            violations.push(format!("{}: scale run was not bit-reproducible", row.label));
-        }
-        // Both columns hold exact integer counts well under 2^53, so
-        // float equality is exact here.
-        let (packets, events) = (col(row, "packets"), col(row, "events"));
-        if packets != events || packets <= 0.0 {
-            violations.push(format!(
-                "{}: calendar must dispatch exactly one event per packet ({events} vs {packets})",
-                row.label
-            ));
-        }
-        let delivered = col(row, "delivered");
-        if !(delivered > 0.0 && delivered <= packets) {
-            violations.push(format!(
-                "{}: delivered count {delivered} outside (0, {packets}]",
-                row.label
-            ));
-        }
-        let mean = col(row, "mean delay (ms)");
-        if !(mean.is_finite() && mean > 0.0) {
-            violations.push(format!("{}: unphysical mean delay {mean} ms", row.label));
-        }
-        let (p50, p95, p99) = (col(row, "p50 (ms)"), col(row, "p95 (ms)"), col(row, "p99 (ms)"));
-        if !(p50 <= p95 && p95 <= p99) {
-            violations.push(format!(
-                "{}: percentiles out of order ({p50}, {p95}, {p99})",
-                row.label
-            ));
-        }
-        if !(col(row, "makespan (s)") > 0.0 && col(row, "aggregate (Mb/s)") > 0.0) {
-            violations.push(format!("{}: degenerate makespan or throughput", row.label));
-        }
+    ScaleReport {
+        table,
+        bench,
+        violations,
     }
-    violations
 }
 
 /// Render the scale sweep's wall-clock measurements as the
@@ -395,25 +454,32 @@ mod tests {
 
     #[test]
     fn sweep_passes_its_own_verification_on_small_sizes() {
-        let (table, metrics) = sweep(tiny(), &[1, 2, 5]);
-        assert_eq!(table.rows.len(), 3 * policies().len());
-        assert_eq!(metrics.cells.len(), table.rows.len());
-        let violations = verify_fleet_sweep(&table);
-        assert!(violations.is_empty(), "{violations:?}");
+        let report = sweep(tiny(), &[1, 2, 5]);
+        assert_eq!(report.table.rows.len(), 3 * policies().len());
+        assert_eq!(report.metrics.cells.len(), report.table.rows.len());
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn sweep_is_deterministic_across_invocations() {
-        let (a, ma) = sweep(tiny(), &[1, 3]);
-        let (b, mb) = sweep(tiny(), &[1, 3]);
-        assert_eq!(a.to_json(), b.to_json(), "tables must be byte-stable");
-        assert_eq!(ma.to_json(), mb.to_json(), "telemetry must be byte-stable");
+        let a = sweep(tiny(), &[1, 3]);
+        let b = sweep(tiny(), &[1, 3]);
+        assert_eq!(
+            a.table.to_json(),
+            b.table.to_json(),
+            "tables must be byte-stable"
+        );
+        assert_eq!(
+            a.metrics.to_json(),
+            b.metrics.to_json(),
+            "telemetry must be byte-stable"
+        );
     }
 
     #[test]
     fn cell_snapshots_carry_the_cache_counters() {
-        let (_, metrics) = sweep(tiny(), &[2]);
-        for cell in &metrics.cells {
+        let report = sweep(tiny(), &[2]);
+        for cell in &report.metrics.cells {
             assert!(
                 cell.snapshot.counter(SolveCache::MISSES) > 0,
                 "{}: cold cache must miss at least once",
@@ -429,23 +495,32 @@ mod tests {
     }
 
     #[test]
-    fn verification_flags_a_broken_row() {
-        let (mut table, _) = sweep(tiny(), &[1]);
-        for (key, value) in &mut table.rows[0].values {
-            if key == "reproducible" {
-                *value = 0.0;
-            }
-        }
-        let violations = verify_fleet_sweep(&table);
+    fn verification_flags_a_broken_result() {
+        let (_, policy) = policies()[1];
+        let mut cfg = FleetConfig::paper_fleet(1, policy);
+        cfg.frames = tiny().frames;
+        let mut cell = FleetCell::new(cfg);
+        assert!(cell.violations("clean").is_empty());
+        // A rerun that delivered one more packet, and out-of-order
+        // percentiles.
+        cell.rerun.0.flows[0].delivered += 1;
+        cell.run.p50_delay_s = 2.0 * cell.run.p99_delay_s;
+        let violations = cell.violations("broken");
         assert!(violations.iter().any(|v| v.contains("bit-reproducible")));
+        assert!(violations
+            .iter()
+            .any(|v| v.contains("percentiles out of order")));
     }
 
     #[test]
     fn scale_sweep_passes_its_own_verification_on_small_sizes() {
-        let (table, bench) = scale_sweep(&[50, 200]);
+        let ScaleReport {
+            table,
+            bench,
+            violations,
+        } = scale_sweep(&[50, 200]);
         assert_eq!(table.rows.len(), 2);
         assert_eq!(bench.len(), 2);
-        let violations = verify_scale_sweep(&table);
         assert!(violations.is_empty(), "{violations:?}");
         for b in &bench {
             assert!(b.events > 0 && b.events_per_sec > 0.0 && b.wall_s > 0.0);
@@ -458,28 +533,36 @@ mod tests {
     fn scale_sweep_table_is_byte_stable() {
         // The table (stdout) must render identically across invocations —
         // check.sh diffs a double run. Only BENCH_fleet.json may vary.
-        let (a, _) = scale_sweep(&[100]);
-        let (b, _) = scale_sweep(&[100]);
+        let a = scale_sweep(&[100]).table;
+        let b = scale_sweep(&[100]).table;
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.to_markdown(), b.to_markdown());
     }
 
     #[test]
-    fn scale_verification_flags_a_broken_row() {
-        let (mut table, _) = scale_sweep(&[50]);
-        for (key, value) in &mut table.rows[0].values {
-            if key == "events" {
-                *value += 1.0; // an event the pipeline never stepped
-            }
-        }
-        let violations = verify_scale_sweep(&table);
-        assert!(violations.iter().any(|v| v.contains("one event per packet")));
+    fn scale_verification_flags_a_broken_result() {
+        let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
+        let engine = ScaleEngine::prepare(
+            ScaleConfig::paper_scale(50, policy),
+            &SolveCache::new(),
+            &MetricsRegistry::disabled(),
+        );
+        let mut cell = ScaleCell {
+            run: engine.run(),
+            rerun: Some(engine.run()),
+        };
+        assert!(cell.violations().is_empty());
+        cell.run.events += 1; // an event the pipeline never stepped
+        let violations = cell.violations();
+        assert!(violations
+            .iter()
+            .any(|v| v.contains("one event per packet")));
+        assert!(violations.iter().any(|v| v.contains("bit-reproducible")));
     }
 
     #[test]
     fn bench_fleet_json_is_wellformed() {
-        let (_, bench) = scale_sweep(&[50]);
-        let json = bench_fleet_json(&bench);
+        let json = bench_fleet_json(&scale_sweep(&[50]).bench);
         assert!(json.starts_with("{\"scale\": ["));
         assert!(json.contains("\"flows\": 50"));
         assert!(json.contains("\"events_per_sec\""));
@@ -491,7 +574,7 @@ mod tests {
     fn encryption_policy_orders_eavesdropper_psnr() {
         // Full encryption must leave the eavesdropper with the worst view;
         // I-only leaks the most (P-frames ride in clear).
-        let (table, _) = sweep(tiny(), &[5]);
+        let table = sweep(tiny(), &[5]).table;
         let psnr = |needle: &str| -> f64 {
             table
                 .rows

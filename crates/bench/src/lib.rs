@@ -31,8 +31,8 @@ pub mod throughput;
 pub use chaos::{chaos_matrix, StormClass};
 pub use faults::{fault_matrix, FaultClass};
 pub use fleet::{
-    bench_fleet_json, fleet_sweep, scale_sweep, verify_fleet_sweep, verify_scale_sweep,
-    ScaleBench, FLEET_SIZES, SCALE_SIZES, SCALE_SIZE_FULL,
+    bench_fleet_json, fleet_sweep, scale_sweep, ScaleBench, ScaleReport, FLEET_SIZES, SCALE_SIZES,
+    SCALE_SIZE_FULL,
 };
 pub use fountain::fountain_matrix;
 pub use golden::{diff_against_golden, golden_effort, golden_figures, parse_table_json};

@@ -34,7 +34,7 @@ use thrifty_video::scene::{SceneConfig, SceneGenerator};
 use thrifty_video::yuv::{Resolution, YuvFrame};
 
 use crate::cache::SolveCache;
-use crate::parallel::par_map;
+use crate::parallel::{par_map, shard_ranges};
 use crate::rng::flow_rng;
 
 /// Configuration of one fleet cell: N flows under one policy on one AP.
@@ -89,11 +89,6 @@ impl FleetConfig {
     /// the background stations.
     pub fn stations(&self) -> usize {
         self.background_stations + self.n_flows
-    }
-
-    fn effective_shards(&self) -> usize {
-        let requested = if self.shards == 0 { 8 } else { self.shards };
-        requested.min(self.n_flows).max(1)
     }
 }
 
@@ -275,18 +270,6 @@ impl FleetEngine {
         &self.config
     }
 
-    /// Contiguous ascending shard ranges, so flattening shard outputs
-    /// yields flow-id order without a sort.
-    fn shard_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let n = self.config.n_flows;
-        let shard_count = self.config.effective_shards();
-        let per_shard = n.div_ceil(shard_count);
-        (0..shard_count)
-            .map(|s| (s * per_shard).min(n)..((s + 1) * per_shard).min(n))
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
-
     /// Run every flow, fanning contiguous shards across threads, and merge
     /// deterministically. `metrics` receives the cell-level counters (cache
     /// hits/misses, flow count); each flow's spans and histograms land in
@@ -301,7 +284,7 @@ impl FleetEngine {
     /// per-flow loop (the tests' `run_reference` oracle) — a relation the
     /// engine tests assert for N ∈ {1, 2, 5}.
     pub fn run(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
-        let shards = self.shard_ranges();
+        let shards = shard_ranges(self.config.n_flows, self.config.shards);
         metrics.counter("fleet.flows").add(self.config.n_flows as u64);
         metrics.counter("fleet.shards").add(shards.len() as u64);
         let shard_runs: Vec<Vec<FlowRun>> =
@@ -515,7 +498,7 @@ mod tests {
         /// merge, but every flow runs the legacy sequential per-packet loop.
         /// Kept as the oracle [`run`](Self::run) is proven against.
         fn run_reference(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
-            let shards = self.shard_ranges();
+            let shards = shard_ranges(self.config.n_flows, self.config.shards);
             metrics
                 .counter("fleet.flows")
                 .add(self.config.n_flows as u64);

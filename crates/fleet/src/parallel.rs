@@ -13,8 +13,22 @@
 //! degenerates to a plain sequential map, so determinism is preserved
 //! everywhere and speedup arrives wherever `available_parallelism` > 1.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// Split flows `0..n_flows` into at most `shards` contiguous, ascending,
+/// non-empty ranges (`0` picks 8), so flattening per-shard outputs yields
+/// flow-id order without a sort.
+pub(crate) fn shard_ranges(n_flows: usize, shards: usize) -> Vec<Range<usize>> {
+    let requested = if shards == 0 { 8 } else { shards };
+    let count = requested.min(n_flows).max(1);
+    let per_shard = n_flows.div_ceil(count);
+    (0..count)
+        .map(|s| (s * per_shard).min(n_flows)..((s + 1) * per_shard).min(n_flows))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
 
 /// Map `f` over `items` on up to `available_parallelism` threads, returning
 /// the results in input order.

@@ -4,21 +4,26 @@
 //! per-packet records, a capture, a telemetry registry and a PSNR scoring
 //! pass per flow — the right cost at the paper's fleet sizes (N ≤ 100),
 //! and far too much state at N = 10^5–10^6. [`ScaleEngine`] is the lean
-//! sibling: the same per-packet pipeline semantics (MMPP-paced arrivals
-//! over the real packetized stream, policy-selected encryption, DCF
-//! backoff, airtime, Lindley queue, Bernoulli delivery) with nothing
-//! retained per packet and only a few scalars retained per flow.
+//! sibling, and it runs the **same physics code**: each flow steps the
+//! sender's own [`ArrivalClock`] and [`SenderQueue`] against one shared
+//! [`SenderPhysics`] (MMPP-paced arrivals over the real packetized stream,
+//! policy-selected encryption, DCF backoff, airtime, Lindley queue,
+//! Bernoulli delivery), and keeps only its RNG substreams and a few
+//! counters. Nothing is retained per packet, and a lean flow touches no
+//! metrics registry.
 //!
-//! Two deliberate differences from the full engine, both documented here
-//! because they make the scale path **deterministic but not bit-identical**
-//! to the classic path:
+//! Two differences from the full engine remain, neither in the physics:
 //!
-//! * **Split RNG substreams.** The classic sender draws the whole arrival
-//!   batch first, then the service draws — impossible in O(1) memory. Each
-//!   scale flow instead owns two independent streams
+//! * **RNG discipline.** The classic sender draws the whole arrival batch
+//!   from its one stream first, then the service draws — impossible in O(1)
+//!   memory. Each scale flow instead owns two independent streams
 //!   ([`flow_substream`]`(seed, flow, "scale.arrivals" | "scale.service")`),
-//!   so arrivals are generated lazily, one draw per event, without
-//!   perturbing the service draws.
+//!   so arrivals are generated lazily, one draw per event. Feed a lean flow
+//!   the classic flow's stream for arrivals and the same stream advanced
+//!   past its arrival draws for service, and it reproduces
+//!   `SenderSim::run` bit for bit —
+//!   `aligned_streams_reproduce_the_classic_sender_bit_for_bit` proves it
+//!   under four policies.
 //! * **Independent cells.** A million uploaders cannot share one AP; the
 //!   Bianchi fixed point at 10^6 contenders drives the per-packet success
 //!   probability to zero and the geometric backoff loop to astronomical
@@ -37,20 +42,19 @@
 //! `BENCH_fleet.json`.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use thrifty_analytic::params::{DeviceSpec, ScenarioParams, SAMSUNG_GALAXY_S2};
 use thrifty_analytic::policy::Policy;
 use thrifty_des::{EventKey, Executor, FlowMachine, Schedule, SimTime};
 use thrifty_net::dcf::{DcfModel, PhyParams};
-use thrifty_sim::sender::{exponential, gaussian};
+use thrifty_sim::sender::{ArrivalClock, SenderPhysics, SenderQueue};
 use thrifty_telemetry::MetricsRegistry;
 use thrifty_video::encoder::{EncodedStream, StatisticalEncoder};
 use thrifty_video::motion::MotionLevel;
 use thrifty_video::packet::{Packetizer, VideoPacket};
-use thrifty_video::FrameType;
 
 use crate::cache::SolveCache;
-use crate::parallel::par_map;
+use crate::parallel::{par_map, shard_ranges};
 use crate::rng::flow_substream;
 
 /// Configuration of one scale sweep cell: N lean flows across independent
@@ -109,11 +113,6 @@ impl ScaleConfig {
     /// for (NOT `n_flows`; see the module docs).
     pub fn cell_stations(&self) -> usize {
         self.background_stations + self.flows_per_cell
-    }
-
-    fn effective_shards(&self) -> usize {
-        let requested = if self.shards == 0 { 8 } else { self.shards };
-        requested.min(self.n_flows).max(1)
     }
 }
 
@@ -186,58 +185,36 @@ impl DelayHistogram {
     }
 }
 
-/// The calibrated constants every scale flow shares (one copy per engine,
-/// borrowed by every machine).
-#[derive(Debug, Clone, Copy)]
-struct ScaleConsts {
-    policy: Policy,
-    delivery: f64,
-    cost: thrifty_crypto::CostModel,
-    jitter: f64,
-    p_s: f64,
-    backoff_rate: f64,
-    phy: PhyParams,
-    lambda1: f64,
-    lambda2: f64,
-    gop_period: f64,
-    gop_size: usize,
-}
-
-/// One lean flow: two RNG substreams, the arrival cursor and the Lindley
-/// accumulator — every field O(1) in clip length and fleet size.
+/// One lean flow: the shared physics, its arrival clock and queue, two RNG
+/// substreams and its counters — every field O(1) in clip length and fleet
+/// size.
 struct ScaleFlow<'a> {
-    consts: &'a ScaleConsts,
+    physics: &'a SenderPhysics,
     packets: &'a [VideoPacket],
+    clock: ArrivalClock,
+    queue: SenderQueue,
     arrival_rng: StdRng,
     service_rng: StdRng,
-    /// Arrival-process cursor (lazy replay of the classic batch generator).
-    t: f64,
-    last_gop: usize,
-    queue_clear_at: f64,
-    packets_done: u64,
+    totals: FlowTotals,
+}
+
+/// A flow's counters, folded across the fleet in flow-id order.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlowTotals {
+    packets: u64,
     delivered: u64,
     delivered_bits: f64,
     sum_delay: f64,
-    sum_enc: f64,
 }
 
 impl ScaleFlow<'_> {
-    /// The classic arrival generator, one step at a time: GOP slot floor,
-    /// then an exponential gap at the frame class's MMPP rate.
-    fn arrival_for(&mut self, i: usize) -> f64 {
-        let pkt = &self.packets[i];
-        let c = self.consts;
-        let gop = pkt.frame_index / c.gop_size;
-        if gop != self.last_gop {
-            self.t = self.t.max(gop as f64 * c.gop_period);
-            self.last_gop = gop;
+    /// Schedule packet `seq` at its arrival, drawn from the arrival
+    /// substream; past the last packet, schedule nothing.
+    fn schedule(&mut self, seq: u64, sched: &mut Schedule<'_, ()>) {
+        if let Some(pkt) = self.packets.get(seq as usize) {
+            let t = self.clock.next(self.physics, pkt, &mut self.arrival_rng);
+            sched.at(SimTime::from_s(t), seq, ());
         }
-        let rate = match pkt.ftype {
-            FrameType::I => c.lambda1,
-            FrameType::P => c.lambda2,
-        };
-        self.t += exponential(&mut self.arrival_rng, rate);
-        self.t
     }
 }
 
@@ -246,10 +223,7 @@ impl FlowMachine for ScaleFlow<'_> {
     type Ctx = DelayHistogram;
 
     fn start(&mut self, sched: &mut Schedule<'_, ()>, _hist: &mut DelayHistogram) {
-        if !self.packets.is_empty() {
-            let t = self.arrival_for(0);
-            sched.at(SimTime::from_s(t), 0, ());
-        }
+        self.schedule(0, sched);
     }
 
     fn on_event(
@@ -259,51 +233,29 @@ impl FlowMachine for ScaleFlow<'_> {
         sched: &mut Schedule<'_, ()>,
         hist: &mut DelayHistogram,
     ) {
-        let i = key.seq as usize;
-        let pkt = &self.packets[i];
-        let arrival = key.time.as_s();
-        let c = self.consts;
-
-        // The per-packet pipeline of `PipelineCore::step`, sans telemetry
-        // and record-keeping, drawing from the flow's service substream.
-        let unit: f64 = self.service_rng.gen_range(0.0..1.0);
-        let encrypted = c.policy.mode.should_encrypt(pkt.ftype, unit);
-        let enc_time = if encrypted {
-            gaussian(
-                &mut self.service_rng,
-                c.cost.mean_time(pkt.bytes),
-                c.jitter * c.cost.mean_time(pkt.bytes),
-            )
-        } else {
-            0.0
-        };
-        let mut backoff = 0.0;
-        while !self.service_rng.gen_bool(c.p_s) {
-            backoff += exponential(&mut self.service_rng, c.backoff_rate);
+        let pkt = &self.packets[key.seq as usize];
+        let out = self
+            .queue
+            .step(self.physics, pkt, key.time.as_s(), &mut self.service_rng);
+        let totals = &mut self.totals;
+        totals.packets += 1;
+        totals.sum_delay += out.delay_s();
+        if out.delivered {
+            totals.delivered += 1;
+            totals.delivered_bits += pkt.bytes as f64 * 8.0;
         }
-        let tx_mean = c.phy.tx_time_s(pkt.bytes + 40);
-        let tx = gaussian(&mut self.service_rng, tx_mean, c.jitter * tx_mean);
-        let service = enc_time + backoff + tx;
-
-        let start = self.queue_clear_at.max(arrival);
-        let wait = start - arrival;
-        self.queue_clear_at = start + service;
-        let delivered = self.service_rng.gen_bool(c.delivery);
-
-        self.packets_done += 1;
-        self.sum_delay += wait + service;
-        self.sum_enc += enc_time;
-        if delivered {
-            self.delivered += 1;
-            self.delivered_bits += pkt.bytes as f64 * 8.0;
-        }
-        hist.record(wait + service);
-
-        if i + 1 < self.packets.len() {
-            let t = self.arrival_for(i + 1);
-            sched.at(SimTime::from_s(t), key.seq + 1, ());
-        }
+        hist.record(out.delay_s());
+        self.schedule(key.seq + 1, sched);
     }
+}
+
+/// One shard's drain: each flow's totals and makespan (the departure of
+/// its last packet, seconds) in flow-id order, the shard's histogram and
+/// its dispatched event count.
+struct ShardOut {
+    flows: Vec<(FlowTotals, f64)>,
+    hist: DelayHistogram,
+    events: u64,
 }
 
 /// Aggregate outcome of one scale cell.
@@ -358,7 +310,7 @@ impl ScaleResult {
 /// one coded stream and one packetization shared (immutably) by every flow.
 pub struct ScaleEngine {
     config: ScaleConfig,
-    consts: ScaleConsts,
+    physics: SenderPhysics,
     packets: Vec<VideoPacket>,
 }
 
@@ -367,6 +319,22 @@ impl ScaleEngine {
     /// reuse it across N) and its hit/miss counters land in `metrics`.
     pub fn prepare(config: ScaleConfig, cache: &SolveCache, metrics: &MetricsRegistry) -> Self {
         assert!(config.n_flows >= 1, "a fleet needs at least one flow");
+        let (params, stream) = Self::cell(&config, cache, metrics);
+        let packets = Packetizer::default().packetize(&stream);
+        ScaleEngine {
+            physics: SenderPhysics::new(&params, config.policy, &stream, packets.len()),
+            config,
+            packets,
+        }
+    }
+
+    /// The calibrated scenario and coded stream every flow of the cell
+    /// shares.
+    fn cell(
+        config: &ScaleConfig,
+        cache: &SolveCache,
+        metrics: &MetricsRegistry,
+    ) -> (ScenarioParams, EncodedStream) {
         let dcf_model = DcfModel::new(
             config.cell_stations(),
             thrifty_analytic::params::DEFAULT_CHANNEL_PER,
@@ -385,38 +353,7 @@ impl ScaleEngine {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let stream =
             StatisticalEncoder::new(config.motion, config.gop_size).encode(config.frames, &mut rng);
-        let packets = Packetizer::default().packetize(&stream);
-        let consts = Self::consts_of(&config, &params, &stream, packets.len());
-        ScaleEngine {
-            config,
-            consts,
-            packets,
-        }
-    }
-
-    /// The same derived constants the classic `PipelineCore` / arrival
-    /// generator compute, hoisted out of the per-flow hot path.
-    fn consts_of(
-        config: &ScaleConfig,
-        params: &ScenarioParams,
-        stream: &EncodedStream,
-        n_packets: usize,
-    ) -> ScaleConsts {
-        let natural_rate = n_packets as f64 / stream.duration_s();
-        let speedup = params.mmpp.mean_rate() / natural_rate;
-        ScaleConsts {
-            policy: config.policy,
-            delivery: params.delivery_rate(),
-            cost: params.cost_model(config.policy.algorithm),
-            jitter: params.jitter_rel,
-            p_s: params.dcf.packet_success_rate,
-            backoff_rate: params.dcf.backoff_rate_hz,
-            phy: params.phy,
-            lambda1: params.mmpp.lambda1,
-            lambda2: params.mmpp.lambda2,
-            gop_period: stream.gop_size as f64 / stream.fps / speedup,
-            gop_size: stream.gop_size,
-        }
+        (params, stream)
     }
 
     /// The engine's configuration.
@@ -429,98 +366,90 @@ impl ScaleEngine {
         self.packets.len()
     }
 
+    /// A lean flow drawing arrivals from `arrival_rng` and service from
+    /// `service_rng`.
+    fn flow(&self, arrival_rng: StdRng, service_rng: StdRng) -> ScaleFlow<'_> {
+        ScaleFlow {
+            physics: &self.physics,
+            packets: &self.packets,
+            clock: ArrivalClock::default(),
+            queue: SenderQueue::default(),
+            arrival_rng,
+            service_rng,
+            totals: FlowTotals::default(),
+        }
+    }
+
+    /// Drain `flows` on one calendar whose first flow has global id
+    /// `first_flow`.
+    fn drain(&self, first_flow: usize, flows: Vec<ScaleFlow<'_>>) -> ShardOut {
+        let mut exec = Executor::new(flows, first_flow as u64);
+        let mut hist = DelayHistogram::default();
+        let events = exec.run(&mut hist);
+        ShardOut {
+            flows: exec
+                .into_machines()
+                .into_iter()
+                .map(|m| (m.totals, m.queue.clear_at()))
+                .collect(),
+            hist,
+            events,
+        }
+    }
+
+    /// One shard of the fleet, each flow on its own split substreams.
+    fn run_shard(&self, range: std::ops::Range<usize>) -> ShardOut {
+        let seed = self.config.seed;
+        let flows = range
+            .clone()
+            .map(|flow| {
+                self.flow(
+                    flow_substream(seed, flow as u64, "scale.arrivals"),
+                    flow_substream(seed, flow as u64, "scale.service"),
+                )
+            })
+            .collect();
+        self.drain(range.start, flows)
+    }
+
     /// Run the fleet: contiguous shards across threads, one calendar per
     /// shard, per-flow `f64` sums folded in global flow-id order and
     /// histograms merged with integer adds — bit-identical across runs and
     /// shard counts.
     pub fn run(&self) -> ScaleResult {
         let cfg = &self.config;
-        let n = cfg.n_flows;
-        let shard_count = cfg.effective_shards();
-        let per_shard = n.div_ceil(shard_count);
-        let shards: Vec<std::ops::Range<usize>> = (0..shard_count)
-            .map(|s| (s * per_shard).min(n)..((s + 1) * per_shard).min(n))
-            .filter(|r| !r.is_empty())
-            .collect();
-
-        struct ShardOut {
-            sums: Vec<(u64, u64, f64, f64, f64, f64)>,
-            hist: DelayHistogram,
-            events: u64,
-        }
-        let shard_outs: Vec<ShardOut> = par_map(&shards, |range| {
-            let machines: Vec<ScaleFlow<'_>> = range
-                .clone()
-                .map(|flow| ScaleFlow {
-                    consts: &self.consts,
-                    packets: &self.packets,
-                    arrival_rng: flow_substream(cfg.seed, flow as u64, "scale.arrivals"),
-                    service_rng: flow_substream(cfg.seed, flow as u64, "scale.service"),
-                    t: 0.0,
-                    last_gop: usize::MAX,
-                    queue_clear_at: 0.0,
-                    packets_done: 0,
-                    delivered: 0,
-                    delivered_bits: 0.0,
-                    sum_delay: 0.0,
-                    sum_enc: 0.0,
-                })
-                .collect();
-            let mut exec = Executor::new(machines, range.start as u64);
-            let mut hist = DelayHistogram::default();
-            let events = exec.run(&mut hist);
-            ShardOut {
-                sums: exec
-                    .into_machines()
-                    .into_iter()
-                    .map(|m| {
-                        (
-                            m.packets_done,
-                            m.delivered,
-                            m.delivered_bits,
-                            m.sum_delay,
-                            m.sum_enc,
-                            m.queue_clear_at,
-                        )
-                    })
-                    .collect(),
-                hist,
-                events,
-            }
-        });
+        let shards = shard_ranges(cfg.n_flows, cfg.shards);
+        let shard_outs = par_map(&shards, |range| self.run_shard(range.clone()));
 
         // Fold in global flow-id order (shards are contiguous ascending
         // ranges), so the f64 sums are independent of the shard layout.
-        let mut packets = 0u64;
         let mut events = 0u64;
-        let mut delivered = 0u64;
-        let mut delivered_bits = 0.0f64;
-        let mut sum_delay = 0.0f64;
+        let mut fleet = FlowTotals::default();
         let mut makespan = 0.0f64;
         let mut hist = DelayHistogram::default();
         for out in &shard_outs {
             events += out.events;
             hist.merge(&out.hist);
-            for &(p, d, bits, delay, _enc, duration) in &out.sums {
-                packets += p;
-                delivered += d;
-                delivered_bits += bits;
-                sum_delay += delay;
-                makespan = makespan.max(duration);
+            for (flow, flow_makespan) in &out.flows {
+                fleet.packets += flow.packets;
+                fleet.delivered += flow.delivered;
+                fleet.delivered_bits += flow.delivered_bits;
+                fleet.sum_delay += flow.sum_delay;
+                makespan = makespan.max(*flow_makespan);
             }
         }
         ScaleResult {
-            flows: n,
+            flows: cfg.n_flows,
             cell_stations: cfg.cell_stations(),
-            packets,
+            packets: fleet.packets,
             events,
-            delivered,
-            mean_delay_s: sum_delay / packets.max(1) as f64,
+            delivered: fleet.delivered,
+            mean_delay_s: fleet.sum_delay / fleet.packets.max(1) as f64,
             p50_delay_s: hist.percentile(0.50),
             p95_delay_s: hist.percentile(0.95),
             p99_delay_s: hist.percentile(0.99),
             makespan_s: makespan,
-            aggregate_throughput_bps: delivered_bits / makespan.max(f64::MIN_POSITIVE),
+            aggregate_throughput_bps: fleet.delivered_bits / makespan.max(f64::MIN_POSITIVE),
             histogram: hist,
         }
     }
@@ -657,29 +586,117 @@ mod tests {
         assert!(r.makespan_s > 0.0 && r.aggregate_throughput_bps > 0.0);
     }
 
+    /// The cell's scenario and stream, rebuilt exactly as `prepare` builds
+    /// them, for driving the classic sender on the same cell.
+    fn classic_cell(cfg: &ScaleConfig) -> (ScenarioParams, EncodedStream) {
+        ScaleEngine::cell(cfg, &SolveCache::new(), &MetricsRegistry::disabled())
+    }
+
+    fn mean_delay(t: &FlowTotals) -> f64 {
+        t.sum_delay / t.packets.max(1) as f64
+    }
+
     #[test]
-    fn scale_mean_tracks_the_classic_engine() {
-        // Different RNG discipline, same physics: at equal config the scale
-        // path's mean delay must land in the classic engine's neighbourhood
-        // (they agree in distribution, not in bits).
-        let sc = cfg(30);
-        let scale = run(sc);
-        let mut fc = crate::engine::FleetConfig::paper_fleet(30, sc.policy);
-        fc.frames = sc.frames;
-        let cache = SolveCache::new();
-        let metrics = MetricsRegistry::enabled();
-        // Classic engine couples contention to the live station count;
-        // compare against a cell of the same size as the scale cell.
-        fc.n_flows = sc.flows_per_cell;
-        fc.background_stations = sc.background_stations;
-        let classic = crate::engine::FleetEngine::prepare(fc, &cache, &metrics)
-            .run(&cache, &metrics);
-        let rel = (scale.mean_delay_s - classic.mean_delay_s).abs() / classic.mean_delay_s;
-        assert!(
-            rel < 0.5,
-            "scale mean {} vs classic mean {} (rel {rel})",
-            scale.mean_delay_s,
-            classic.mean_delay_s
-        );
+    fn aligned_streams_reproduce_the_classic_sender_bit_for_bit() {
+        // One physics, two RNG disciplines. Give each lean flow the classic
+        // flow's stream for arrivals, and for service the same stream
+        // advanced past its arrival draws (one per packet): the classic
+        // sender draws exactly that sequence, so every flow's mean delay,
+        // makespan and delivered count must match `SenderSim::run` bit for
+        // bit.
+        use thrifty_sim::sender::SenderSim;
+        for mode in [
+            EncryptionMode::None,
+            EncryptionMode::IFrames,
+            EncryptionMode::IPlusFractionP(0.2),
+            EncryptionMode::All,
+        ] {
+            let cfg = ScaleConfig::paper_scale(20, Policy::new(Algorithm::Aes256, mode));
+            let engine =
+                ScaleEngine::prepare(cfg, &SolveCache::new(), &MetricsRegistry::disabled());
+            let (params, stream) = classic_cell(&cfg);
+            let flows = (0..cfg.n_flows)
+                .map(|f| {
+                    let arrivals = crate::rng::flow_rng(cfg.seed, f);
+                    let mut service = arrivals.clone();
+                    let mut clock = ArrivalClock::default();
+                    for pkt in &engine.packets {
+                        clock.next(&engine.physics, pkt, &mut service);
+                    }
+                    engine.flow(arrivals, service)
+                })
+                .collect();
+            let lean = engine.drain(0, flows);
+            assert_eq!(
+                lean.events,
+                (cfg.n_flows * engine.packets_per_flow()) as u64
+            );
+            for (f, (totals, makespan)) in lean.flows.iter().enumerate() {
+                let classic = SenderSim::new(&params, cfg.policy)
+                    .run(&stream, &mut crate::rng::flow_rng(cfg.seed, f));
+                let delivered = classic.records.iter().filter(|r| r.delivered).count();
+                assert_eq!(totals.packets as usize, classic.records.len());
+                assert_eq!(totals.delivered as usize, delivered, "{mode:?} flow {f}");
+                assert_eq!(
+                    mean_delay(totals).to_bits(),
+                    classic.mean_delay_s.to_bits(),
+                    "{mode:?} flow {f}: mean delay"
+                );
+                assert_eq!(
+                    makespan.to_bits(),
+                    classic.duration_s.to_bits(),
+                    "{mode:?} flow {f}: makespan"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_substreams_agree_with_the_classic_sender_in_distribution() {
+        // With split substreams the two engines agree in distribution, not
+        // in bits. Compare K = 1600 per-flow mean delays from each engine
+        // on the same cell with a two-sample z statistic. Each side's
+        // standard error is ≈ 0.8% of the mean here, so |z| ≤ 4 bounds the
+        // disagreement at ≈ 4.5% relative; under agreement a two-sided
+        // |z| > 4 has probability 6.3e-5 per policy (≈ 2e-4 over the
+        // three).
+        use thrifty_sim::sender::SenderSim;
+        const K: usize = 1600;
+        let moments = |xs: &[f64]| {
+            let n = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            (mean, var / n)
+        };
+        for mode in [
+            EncryptionMode::All,
+            EncryptionMode::IFrames,
+            EncryptionMode::IPlusFractionP(0.2),
+        ] {
+            let cfg = ScaleConfig::paper_scale(K, Policy::new(Algorithm::Aes256, mode));
+            let engine =
+                ScaleEngine::prepare(cfg, &SolveCache::new(), &MetricsRegistry::disabled());
+            let lean: Vec<f64> = engine
+                .run_shard(0..K)
+                .flows
+                .iter()
+                .map(|(totals, _)| mean_delay(totals))
+                .collect();
+            let (params, stream) = classic_cell(&cfg);
+            let sim = SenderSim::new(&params, cfg.policy);
+            let classic: Vec<f64> = (0..K)
+                .map(|f| {
+                    sim.run(&stream, &mut crate::rng::flow_rng(cfg.seed, f))
+                        .mean_delay_s
+                })
+                .collect();
+            let ((m_lean, se2_lean), (m_classic, se2_classic)) =
+                (moments(&lean), moments(&classic));
+            let z = (m_lean - m_classic) / (se2_lean + se2_classic).sqrt();
+            assert!(
+                z.abs() <= 4.0,
+                "{mode:?}: scale mean {m_lean} vs classic mean {m_classic} (z = {z})"
+            );
+        }
     }
 }

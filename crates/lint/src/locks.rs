@@ -1,8 +1,8 @@
 //! Lock-order analysis: flag potential `Mutex`/`RwLock` inversions.
 //!
 //! Per function, the scanner tracks which guards are *held* at each point:
-//! a `let`-bound `.lock()` (or a call to a guard-returning helper like the
-//! buffer pool's `lock_free()`) holds until its enclosing block closes or
+//! a `let`-bound `.lock()` (or a call to a guard-returning helper such as a
+//! `lock_free()`) holds until its enclosing block closes or
 //! an explicit `drop(guard)`; a temporary (`x.lock().field += 1`) dies at
 //! the end of its statement; a `for`-header acquisition holds through the
 //! loop body. Acquiring lock `B` with `A` held records the directed edge
@@ -14,7 +14,7 @@
 //! self-deadlock.
 //!
 //! Lock identity is `file::name` — the receiver identifier, namespaced by
-//! the file that acquires it — so the pool's `free` can never be confused
+//! the file that acquires it — so one crate's `free` can never be confused
 //! with another crate's `free`, while cross-function edges inside one
 //! file unify naturally.
 

@@ -89,17 +89,17 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: PANIC_UNWRAP,
         tier: "panic-free",
-        summary: ".unwrap()/.expect() in wire/NAL/bitstream parser and buffer-pool non-test code",
+        summary: ".unwrap()/.expect() in wire/NAL/bitstream parser and recovery state-machine non-test code",
     },
     RuleInfo {
         name: PANIC_MACRO,
         tier: "panic-free",
-        summary: "panic!/unreachable! in wire/NAL/bitstream parser and buffer-pool non-test code",
+        summary: "panic!/unreachable! in wire/NAL/bitstream parser and recovery state-machine non-test code",
     },
     RuleInfo {
         name: PANIC_SLICE_INDEX,
         tier: "panic-free",
-        summary: "slice indexing by integer literal in wire/NAL/bitstream parser and buffer-pool non-test code",
+        summary: "slice indexing by integer literal in wire/NAL/bitstream parser and recovery state-machine non-test code",
     },
     RuleInfo {
         name: NUM_FLOAT_EQ,
@@ -178,9 +178,7 @@ const DET_CRATES: &[&str] = &[
 ];
 
 /// Wire-format / bitstream parser files: the panic-free and truncating-cast
-/// tiers apply to the non-test code of exactly these files. The buffer
-/// pool rides along because every packet on the zero-copy path lives in
-/// its buffers — a panic there takes the whole sender down.
+/// tiers apply to the non-test code of exactly these files.
 const WIRE_FILES: &[&str] = &[
     "crates/net/src/wire.rs",
     "crates/video/src/nal.rs",
@@ -189,7 +187,6 @@ const WIRE_FILES: &[&str] = &[
     "crates/recover/src/rto.rs",
     "crates/recover/src/resync.rs",
     "crates/recover/src/controller.rs",
-    "compat/bytes/src/pool.rs",
 ];
 
 /// The deterministic crate a path belongs to, if any.

@@ -9,6 +9,11 @@
 //! (Lindley recursion). Every transmitted packet then crosses the loss
 //! channel once for the receiver and is simultaneously overheard by the
 //! eavesdropper's capture.
+//!
+//! The per-packet physics — [`SenderPhysics`], [`ArrivalClock`] and
+//! [`SenderQueue`] — is the one copy both fleet engines run: [`SenderSim`]
+//! layers records, capture and telemetry on it, and the fleet's scale path
+//! steps it bare.
 
 use rand::Rng;
 use thrifty_analytic::params::ScenarioParams;
@@ -203,8 +208,8 @@ impl<'a> SenderSim<'a> {
         metrics: &thrifty_telemetry::MetricsRegistry,
     ) -> SenderSummary {
         let packets = Packetizer::default().packetize(stream);
-        let arrivals = self.arrival_times(&packets, stream, rng);
-        let mut core = PipelineCore::new(self, metrics, packets.len());
+        let mut core = PipelineCore::new(self, stream, &packets, metrics);
+        let arrivals = core.physics.arrival_times(&packets, rng);
         for (pkt, &nominal_arrival) in packets.iter().zip(arrivals.iter()) {
             let arrival = core.effective_arrival(nominal_arrival);
             core.step(pkt, arrival, rng);
@@ -227,8 +232,8 @@ impl<'a> SenderSim<'a> {
         rng: &'m mut R,
         metrics: &'m thrifty_telemetry::MetricsRegistry,
     ) -> SenderFlowMachine<'m, R> {
-        let arrivals = self.arrival_times(packets, stream, rng);
-        let core = PipelineCore::new(self, metrics, packets.len());
+        let core = PipelineCore::new(self, stream, packets, metrics);
+        let arrivals = core.physics.arrival_times(packets, rng);
         SenderFlowMachine {
             core,
             packets,
@@ -236,62 +241,207 @@ impl<'a> SenderSim<'a> {
             rng,
         }
     }
-
-    /// Stream-structured arrival times: per GOP, an I-fragment burst at the
-    /// disk rate followed by P packets paced at the read rate — the process
-    /// the 2-MMPP of Section 4.2.1 models.
-    fn arrival_times<R: Rng + ?Sized>(
-        &self,
-        packets: &[VideoPacket],
-        stream: &EncodedStream,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let mmpp = &self.params.mmpp;
-        // The calibrated read speedup is implied by the MMPP's mean rate
-        // relative to the stream's natural (real-time) packet rate; the
-        // producer's GOP slot shrinks by the same factor.
-        let natural_rate = packets.len() as f64 / stream.duration_s();
-        let speedup = mmpp.mean_rate() / natural_rate;
-        let gop_period = stream.gop_size as f64 / stream.fps / speedup;
-        let mut t = 0.0f64;
-        let mut last_gop = usize::MAX;
-        let mut times = Vec::with_capacity(packets.len());
-        for pkt in packets {
-            let gop = pkt.frame_index / stream.gop_size;
-            if gop != last_gop {
-                // Producer starts reading this GOP no earlier than its slot.
-                t = t.max(gop as f64 * gop_period);
-                last_gop = gop;
-            }
-            let rate = match pkt.ftype {
-                FrameType::I => mmpp.lambda1,
-                FrameType::P => mmpp.lambda2,
-            };
-            t += exponential(rng, rate);
-            times.push(t);
-        }
-        times
-    }
 }
 
-/// Per-run pipeline state shared by the event-driven drain and the
-/// reference loop: policy constants, telemetry handles and the Lindley
-/// accumulators.
+/// The calibrated constants of one sender's per-packet process — the delay
+/// model of Section 4: 2-MMPP arrivals paced in GOP slots, then optional
+/// encryption, DCF backoff and airtime feeding a Lindley queue, then a
+/// Bernoulli delivery.
 ///
-/// Both paths advance a packet with [`step`](PipelineCore::step), so every
-/// RNG draw and every floating-point operation is common code — which is
-/// what makes the calendar port bit-identical to the legacy loop rather
-/// than merely close. The struct owns copies of the calibrated constants
-/// (all `Copy`), so machines built from it hold no borrow of the scenario.
-struct PipelineCore<'a> {
+/// This is the one copy of that physics. The classic sender owns one per
+/// run; the fleet's scale path builds one per engine and every lean flow
+/// borrows it. A flow's mutable state is an [`ArrivalClock`] and a
+/// [`SenderQueue`], both O(1).
+#[derive(Debug, Clone, Copy)]
+pub struct SenderPhysics {
     policy: Policy,
-    backlog_bound_s: Option<f64>,
     delivery: f64,
     cost: thrifty_crypto::CostModel,
     jitter: f64,
     p_s: f64,
     backoff_rate: f64,
     phy: thrifty_net::PhyParams,
+    lambda1: f64,
+    lambda2: f64,
+    gop_period: f64,
+    gop_size: usize,
+}
+
+impl SenderPhysics {
+    /// Calibrate `policy` under `params` for the `n_packets` packets of
+    /// `stream`.
+    pub fn new(
+        params: &ScenarioParams,
+        policy: Policy,
+        stream: &EncodedStream,
+        n_packets: usize,
+    ) -> Self {
+        let mmpp = &params.mmpp;
+        // The calibrated read speedup is implied by the MMPP's mean rate
+        // relative to the stream's natural (real-time) packet rate; the
+        // producer's GOP slot shrinks by the same factor.
+        let natural_rate = n_packets as f64 / stream.duration_s();
+        let speedup = mmpp.mean_rate() / natural_rate;
+        SenderPhysics {
+            policy,
+            delivery: params.delivery_rate(),
+            cost: params.cost_model(policy.algorithm),
+            jitter: params.jitter_rel,
+            p_s: params.dcf.packet_success_rate,
+            backoff_rate: params.dcf.backoff_rate_hz,
+            phy: params.phy,
+            lambda1: mmpp.lambda1,
+            lambda2: mmpp.lambda2,
+            gop_period: stream.gop_size as f64 / stream.fps / speedup,
+            gop_size: stream.gop_size,
+        }
+    }
+
+    /// The whole arrival process of `packets`, drawn as one batch.
+    fn arrival_times<R: Rng + ?Sized>(&self, packets: &[VideoPacket], rng: &mut R) -> Vec<f64> {
+        let mut clock = ArrivalClock::default();
+        packets
+            .iter()
+            .map(|pkt| clock.next(self, pkt, rng))
+            .collect()
+    }
+}
+
+/// Stream-structured arrivals, one packet at a time: per GOP, an I-fragment
+/// burst at the disk rate followed by P packets paced at the read rate —
+/// the process the 2-MMPP of Section 4.2.1 models.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrivalClock {
+    t: f64,
+    last_gop: usize,
+}
+
+impl Default for ArrivalClock {
+    fn default() -> Self {
+        ArrivalClock {
+            t: 0.0,
+            last_gop: usize::MAX,
+        }
+    }
+}
+
+impl ArrivalClock {
+    /// Arrival time of `pkt`, the stream's next packet, in seconds: the
+    /// GOP-slot floor, then an exponential gap at the frame class's MMPP
+    /// rate. Exactly one draw from `rng`.
+    pub fn next<R: Rng + ?Sized>(
+        &mut self,
+        physics: &SenderPhysics,
+        pkt: &VideoPacket,
+        rng: &mut R,
+    ) -> f64 {
+        let gop = pkt.frame_index / physics.gop_size;
+        if gop != self.last_gop {
+            // Producer starts reading this GOP no earlier than its slot.
+            self.t = self.t.max(gop as f64 * physics.gop_period);
+            self.last_gop = gop;
+        }
+        let rate = match pkt.ftype {
+            FrameType::I => physics.lambda1,
+            FrameType::P => physics.lambda2,
+        };
+        self.t += exponential(rng, rate);
+        self.t
+    }
+}
+
+/// What the service process did to one packet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PacketOutcome {
+    /// Whether the policy selected it for encryption.
+    pub encrypted: bool,
+    /// Encryption time, seconds (0 when sent in the clear).
+    pub encrypt_s: f64,
+    /// DCF backoff, seconds.
+    pub backoff_s: f64,
+    /// Airtime, seconds.
+    pub transmit_s: f64,
+    /// Time spent waiting in the queue, seconds.
+    pub wait_s: f64,
+    /// Service time (encryption + backoff + airtime), seconds.
+    pub service_s: f64,
+    /// Whether the channel delivered it (after MAC retries).
+    pub delivered: bool,
+}
+
+impl PacketOutcome {
+    /// Total per-packet delay (queueing + service) — the paper's metric.
+    pub fn delay_s(&self) -> f64 {
+        self.wait_s + self.service_s
+    }
+}
+
+/// One sender's FIFO, work-conserving queue: the Lindley recursion's state.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SenderQueue {
+    clear_at: f64,
+}
+
+impl SenderQueue {
+    /// When the server frees up: the departure time of the last packet
+    /// stepped, seconds.
+    pub fn clear_at(&self) -> f64 {
+        self.clear_at
+    }
+
+    /// One packet arriving at `arrival` through encrypt → backoff →
+    /// transmit → channel, with the Lindley update. Draws, in order: the
+    /// policy's unit, the encryption gaussian (encrypted packets only), the
+    /// backoff loop, the airtime gaussian and the delivery.
+    pub fn step<R: Rng + ?Sized>(
+        &mut self,
+        physics: &SenderPhysics,
+        pkt: &VideoPacket,
+        arrival: f64,
+        rng: &mut R,
+    ) -> PacketOutcome {
+        let unit: f64 = rng.gen_range(0.0..1.0);
+        let encrypted = physics.policy.mode.should_encrypt(pkt.ftype, unit);
+        let encrypt_s = if encrypted {
+            let mean = physics.cost.mean_time(pkt.bytes);
+            gaussian(rng, mean, physics.jitter * mean)
+        } else {
+            0.0
+        };
+        let mut backoff_s = 0.0;
+        while !rng.gen_bool(physics.p_s) {
+            backoff_s += exponential(rng, physics.backoff_rate);
+        }
+        let tx_mean = physics.phy.tx_time_s(pkt.bytes + 40);
+        let transmit_s = gaussian(rng, tx_mean, physics.jitter * tx_mean);
+        let service_s = encrypt_s + backoff_s + transmit_s;
+
+        let start = self.clear_at.max(arrival);
+        self.clear_at = start + service_s;
+        PacketOutcome {
+            encrypted,
+            encrypt_s,
+            backoff_s,
+            transmit_s,
+            wait_s: start - arrival,
+            service_s,
+            delivered: rng.gen_bool(physics.delivery),
+        }
+    }
+}
+
+/// Per-run telemetry and record-keeping layered on the shared physics, for
+/// both the event-driven drain and the reference loop.
+///
+/// Both paths advance a packet with [`step`](PipelineCore::step), so every
+/// RNG draw and every floating-point operation is common code — which is
+/// what makes the calendar port bit-identical to the legacy loop rather
+/// than merely close. The struct owns its copy of the calibrated constants
+/// (all `Copy`), so machines built from it hold no borrow of the scenario.
+struct PipelineCore<'a> {
+    physics: SenderPhysics,
+    queue: SenderQueue,
+    backlog_bound_s: Option<f64>,
     metrics: &'a thrifty_telemetry::MetricsRegistry,
     // Counter handles are acquired once; per-packet cost is a relaxed
     // atomic add (nothing at all when the registry is disabled).
@@ -303,8 +453,6 @@ struct PipelineCore<'a> {
     bytes_encrypted: thrifty_telemetry::Counter,
     records: Vec<PacketRecord>,
     capture: PacketCapture,
-    /// When the server frees up (Lindley recursion state).
-    queue_clear_at: f64,
     sum_delay: f64,
     sum_enc: f64,
 }
@@ -312,18 +460,14 @@ struct PipelineCore<'a> {
 impl<'a> PipelineCore<'a> {
     fn new(
         sim: &SenderSim<'_>,
+        stream: &EncodedStream,
+        packets: &[VideoPacket],
         metrics: &'a thrifty_telemetry::MetricsRegistry,
-        n_packets: usize,
     ) -> Self {
         PipelineCore {
-            policy: sim.policy,
+            physics: SenderPhysics::new(sim.params, sim.policy, stream, packets.len()),
+            queue: SenderQueue::default(),
             backlog_bound_s: sim.backlog_bound_s,
-            delivery: sim.params.delivery_rate(),
-            cost: sim.params.cost_model(sim.policy.algorithm),
-            jitter: sim.params.jitter_rel,
-            p_s: sim.params.dcf.packet_success_rate,
-            backoff_rate: sim.params.dcf.backoff_rate_hz,
-            phy: sim.params.phy,
             metrics,
             packets_i: metrics.counter("sim.packets.I"),
             packets_p: metrics.counter("sim.packets.P"),
@@ -334,9 +478,8 @@ impl<'a> PipelineCore<'a> {
                 "sim.bytes_encrypted.{}",
                 sim.policy.algorithm.name()
             )),
-            records: Vec::with_capacity(n_packets),
+            records: Vec::with_capacity(packets.len()),
             capture: PacketCapture::new(),
-            queue_clear_at: 0.0,
             sum_delay: 0.0,
             sum_enc: 0.0,
         }
@@ -348,56 +491,33 @@ impl<'a> PipelineCore<'a> {
     /// event a handler schedules from this time is never in its past).
     fn effective_arrival(&self, nominal: f64) -> f64 {
         match self.backlog_bound_s {
-            Some(bound) => nominal.max(self.queue_clear_at - bound),
+            Some(bound) => nominal.max(self.queue.clear_at() - bound),
             None => nominal,
         }
     }
 
-    /// One packet through encrypt → backoff → transmit → channel, with the
-    /// Lindley update and all telemetry. `arrival` must come from
+    /// One packet through the shared physics, then its telemetry, record
+    /// and capture. `arrival` must come from
     /// [`effective_arrival`](Self::effective_arrival) evaluated under the
     /// queue state left by the previous packet.
     fn step<R: Rng + ?Sized>(&mut self, pkt: &VideoPacket, arrival: f64, rng: &mut R) {
         use thrifty_telemetry::Stage;
-        let unit: f64 = rng.gen_range(0.0..1.0);
-        let encrypted = self.policy.mode.should_encrypt(pkt.ftype, unit);
-        let enc_time = if encrypted {
-            gaussian(
-                rng,
-                self.cost.mean_time(pkt.bytes),
-                self.jitter * self.cost.mean_time(pkt.bytes),
-            )
-        } else {
-            0.0
-        };
-        let mut backoff = 0.0;
-        while !rng.gen_bool(self.p_s) {
-            backoff += exponential(rng, self.backoff_rate);
-        }
-        let tx_mean = self.phy.tx_time_s(pkt.bytes + 40);
-        let tx = gaussian(rng, tx_mean, self.jitter * tx_mean);
-        let service = enc_time + backoff + tx;
-
-        let start = self.queue_clear_at.max(arrival);
-        let wait = start - arrival;
-        self.queue_clear_at = start + service;
-        let delivered = rng.gen_bool(self.delivery);
-
-        self.sum_delay += wait + service;
-        self.sum_enc += enc_time;
-        self.metrics.record_span(Stage::Enqueue, wait);
-        self.metrics.record_span(Stage::Encrypt, enc_time);
-        self.metrics.record_span(Stage::DcfBackoff, backoff);
-        self.metrics.record_span(Stage::Transmit, tx);
+        let out = self.queue.step(&self.physics, pkt, arrival, rng);
+        self.sum_delay += out.delay_s();
+        self.sum_enc += out.encrypt_s;
+        self.metrics.record_span(Stage::Enqueue, out.wait_s);
+        self.metrics.record_span(Stage::Encrypt, out.encrypt_s);
+        self.metrics.record_span(Stage::DcfBackoff, out.backoff_s);
+        self.metrics.record_span(Stage::Transmit, out.transmit_s);
         match pkt.ftype {
             FrameType::I => self.packets_i.inc(),
             FrameType::P => self.packets_p.inc(),
         }
-        if encrypted {
+        if out.encrypted {
             self.packets_encrypted.inc();
             self.bytes_encrypted.add(pkt.bytes as u64);
         }
-        if delivered {
+        if out.delivered {
             self.packets_delivered.inc();
         } else {
             self.packets_lost.inc();
@@ -406,19 +526,19 @@ impl<'a> PipelineCore<'a> {
             seq: pkt.seq,
             frame_index: pkt.frame_index,
             bytes: pkt.bytes,
-            encrypted,
-            time_s: self.queue_clear_at,
+            encrypted: out.encrypted,
+            time_s: self.queue.clear_at(),
         });
         self.records.push(PacketRecord {
             seq: pkt.seq,
             frame_index: pkt.frame_index,
             ftype: pkt.ftype,
             bytes: pkt.bytes,
-            encrypted,
+            encrypted: out.encrypted,
             arrival_s: arrival,
-            wait_s: wait,
-            service_s: service,
-            delivered,
+            wait_s: out.wait_s,
+            service_s: out.service_s,
+            delivered: out.delivered,
         });
     }
 
@@ -427,7 +547,7 @@ impl<'a> PipelineCore<'a> {
         SenderSummary {
             mean_delay_s: self.sum_delay / n,
             mean_encryption_s: self.sum_enc / n,
-            duration_s: self.queue_clear_at,
+            duration_s: self.queue.clear_at(),
             records: self.records,
             capture: self.capture,
         }
@@ -486,18 +606,15 @@ impl<R: Rng + ?Sized> FlowMachine for SenderFlowMachine<'_, R> {
     }
 }
 
-/// Inverse-CDF exponential draw — the arrival/backoff sampler of the
-/// pipeline. Public so the fleet's scale path samples with bit-identical
-/// arithmetic instead of a reimplementation.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+/// Inverse-CDF exponential draw — the arrival/backoff sampler.
+fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() / rate
 }
 
 /// Box–Muller gaussian draw truncated at zero; degenerate `std <= 0`
-/// returns the (clamped) mean without consuming the stream. Public for the
-/// same reason as [`exponential`].
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
+/// returns the (clamped) mean without consuming the stream.
+fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     if std <= 0.0 {
         return mean.max(0.0);
     }

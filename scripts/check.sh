@@ -39,10 +39,10 @@ echo "==> cargo bench -p thrifty-bench -- --test (smoke + backend ratio gates)"
 cargo bench -p thrifty-bench -- --test
 
 echo "==> reproduce determinism (metered double run must be byte-identical)"
-# Since the sender went zero-copy (pooled buffers, batched keystream
-# trains), this byte-compare also proves the pool/train path end to end:
-# any buffer reuse bug or train/sequential keystream divergence would show
-# up as a diff between the two runs or against the golden figures below.
+# The sender encrypts in batched keystream trains, so this byte-compare
+# also proves the train path end to end: a train/sequential keystream
+# divergence would show up as a diff between the two runs or against the
+# golden figures below.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp" "$lint_tmp"' EXIT
 ./target/release/reproduce table2 fig12 --no-bench-json \

@@ -589,68 +589,3 @@ fn nist_cavp_monte_carlo_chains_agree_across_backends() {
         }
     }
 }
-
-// ---- zero-copy pooled train, end to end -----------------------------------
-
-/// The tentpole's zero-copy claim, proven at the integration level: packet
-/// trains assembled in pooled buffers are encrypted in place as one
-/// batched call, cross a channel as the same allocations (pointer
-/// identity), detach without copying, and decrypt back to the original
-/// plaintext with the ordinary per-segment path.
-#[test]
-fn pooled_train_survives_channel_without_copy_and_decrypts() {
-    use bytes::BufferPool;
-    let key = [0x42u8; 32];
-    let cipher = SegmentCipher::with_backend(
-        Algorithm::Aes128,
-        &key,
-        CipherBackend::Bitsliced,
-    )
-    .unwrap();
-    let pool = BufferPool::new(8, 1500);
-    let plain: Vec<Vec<u8>> = (0..5u8)
-        .map(|i| (0..100 + i as usize * 37).map(|j| (j as u8) ^ i).collect())
-        .collect();
-    let seqs: Vec<u64> = (100..105).collect();
-    let mut train: Vec<bytes::PooledBuf> = plain
-        .iter()
-        .map(|p| {
-            let mut buf = pool.acquire();
-            buf.put_slice(p);
-            buf
-        })
-        .collect();
-    let ptrs: Vec<usize> = train
-        .iter_mut()
-        .map(|b| b.as_mut_slice().as_ptr() as usize)
-        .collect();
-    {
-        let mut views: Vec<&mut [u8]> =
-            train.iter_mut().map(|b| b.as_mut_slice()).collect();
-        cipher.encrypt_train(&seqs, &mut views);
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<bytes::PooledBuf>();
-    let receiver = std::thread::spawn(move || {
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        while let Ok(buf) = rx.recv() {
-            got.push(buf.into_vec());
-        }
-        got
-    });
-    for buf in train {
-        tx.send(buf).unwrap();
-    }
-    drop(tx);
-    let mut received = receiver.join().unwrap();
-    // Pointer identity: the allocations that crossed the channel are the
-    // very ones the pool handed out — no byte was copied on the way.
-    let received_ptrs: Vec<usize> =
-        received.iter().map(|v| v.as_ptr() as usize).collect();
-    assert_eq!(received_ptrs, ptrs);
-    for (i, (buf, original)) in received.iter_mut().zip(plain.iter()).enumerate() {
-        cipher.decrypt_segment(seqs[i], buf);
-        assert_eq!(buf, original, "segment {i} did not round-trip");
-    }
-    // Nothing returned to the pool: every buffer was detached in flight.
-    assert_eq!(pool.stats().returned, 0);
-}
