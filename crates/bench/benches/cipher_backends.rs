@@ -9,7 +9,7 @@
 //! Besides timing each (algorithm × backend) pair, the harness ends with a
 //! sanity gate: the fast backend must beat the reference one for every
 //! algorithm, fast 3DES (the pair with the widest measured gap) must hold
-//! at least a 4× lead, and batched bitsliced AES-128 must at least match
+//! at least an 8× lead, and batched bitsliced AES-128 must at least match
 //! the fast T-table backend. The gate runs in smoke mode too, so
 //! `cargo bench -p thrifty-bench -- --test` catches a fast path (or the
 //! bitsliced train path) that quietly regressed.
@@ -83,12 +83,14 @@ fn backend_ratio_gate(_c: &mut Criterion) {
             alg.name()
         );
     }
-    // The widest measured gap (≈11× on x86): keep generous slack so the
-    // gate only fires on a real fast-path regression, not timer noise.
+    // The widest measured gap: the permuted-domain fast core reads ≈12×
+    // the reference on x86 (≈25 vs 2.0 MB/s), where the per-pass IP/FP
+    // core it replaced read ≈4.6×. 8× keeps slack for timer noise yet
+    // fires if the fast path slides back towards the old core.
     let fast_3des = rate(Algorithm::TripleDes, CipherBackend::Fast);
     let ref_3des = rate(Algorithm::TripleDes, CipherBackend::Reference);
     assert!(
-        fast_3des >= 4.0 * ref_3des,
+        fast_3des >= 8.0 * ref_3des,
         "fast 3DES lost its table-driven lead: {fast_3des:.0} vs {ref_3des:.0} B/s"
     );
     // Batched bitsliced AES-128 (64-segment trains, as the pipeline runs

@@ -1,25 +1,29 @@
-//! Table-driven DES/3DES — the fast backend behind
+//! Table-driven Triple DES — the fast backend behind
 //! [`crate::CipherBackend::Fast`].
 //!
 //! The reference in [`crate::des`] walks the published permutation tables
-//! bit by bit for every block: the E expansion, eight S-box lookups with
-//! row/column decoding, the P permutation, and IP/IP⁻¹ cost ≈1400 loop
-//! iterations per DES pass. This implementation precomputes all of that
-//! once, at compile time:
+//! bit by bit: ≈1400 loop iterations per DES pass. This core precomputes
+//! that work and runs EDE in DES's *permuted domain*, on the (L, R) halves
+//! between IP and IP⁻¹ (FP):
 //!
-//! * **SP tables** — S-box substitution and the P permutation fuse into
-//!   eight 64-entry u32 tables indexed directly by the 6-bit chunk, so the
-//!   round function is 8 loads and 8 XORs.
-//! * **E expansion by rotation** — the expansion's 6-bit chunks are
-//!   consecutive windows of `R` rotated right by one; duplicating the
-//!   rotated word into a u64 turns the whole table walk into 8 shifts.
-//! * **IP / IP⁻¹ byte tables** — each permutation becomes eight 256-entry
-//!   u64 lookups (one per input byte) ORed together.
+//! * **SP tables** — S-box and P permutation fuse into eight 64-entry u32
+//!   tables indexed directly by the 6-bit chunk.
+//! * **Pre-split round keys** — E's 6-bit windows are shifts of `R`
+//!   rotated right by one and duplicated into a u64. [`TripleDesFast::new`]
+//!   expands the key schedules once into 48 round keys in E-D-E order (k1
+//!   forward, k2 reversed, k3 forward), each split into masks for the even
+//!   and odd windows: a round is 2 XORs, 8 shift/masks and 8 SP loads.
+//!   Decryption walks the same keys backwards.
+//! * **The inner permutations cancel** — the FP ending one pass meets the
+//!   IP opening the next, so a block is one IP, 48 rounds (halves swapped
+//!   at pass boundaries) and one FP, each eight byte-table lookups.
+//! * **OFB stays permuted** — each OFB output block is the next input, so
+//!   [`TripleDesFast::ofb_xor_segment`] applies IP once per segment and FP
+//!   once per keystream block, only to the bytes XORed into the payload.
 //!
-//! The key schedule is unchanged — it reuses the reference
-//! [`DesKeySchedule`], since it runs once per cipher, not per block.
-//! Bit-exactness against the reference is pinned by the differential tests
-//! below and in `tests/` (the classic DES vectors plus random blocks).
+//! Bit-exactness is pinned by the tests below and in `tests/`: the DES
+//! vectors via equal keys, the SP 800-67 three-key vector, and
+//! differential blocks and OFB segments against the reference.
 
 use crate::des::{DesKeySchedule, IP, P, SBOXES};
 use crate::BlockCipher;
@@ -82,6 +86,22 @@ fn permute_by_bytes(x: u64, tab: &[[u64; 256]; 8]) -> u64 {
         | tab[7][(x & 0xff) as usize]
 }
 
+/// A block's (L, R) halves in the permuted domain, between IP and FP.
+type Halves = (u32, u32);
+
+/// IP: a big-endian block into permuted-domain halves.
+#[inline]
+fn ip(block: u64) -> Halves {
+    let p = permute_by_bytes(block, &IP_TAB);
+    ((p >> 32) as u32, p as u32)
+}
+
+/// FP (IP⁻¹): permuted-domain halves back into a big-endian block.
+#[inline]
+fn fp((l, r): Halves) -> u64 {
+    permute_by_bytes(((l as u64) << 32) | r as u64, &FP_TAB)
+}
+
 /// Fused S-box + P-permutation tables: `SP[i][chunk]` is the P-permuted
 /// contribution of S-box `i` fed with the raw 6-bit `chunk` (row/column
 /// decoding folded in).
@@ -111,92 +131,90 @@ const SP: [[u32; 64]; 8] = {
     sp
 };
 
-/// The DES round function with fused tables: E-expansion by rotation, then
-/// eight SP lookups.
-#[inline]
-fn feistel_fast(r: u32, subkey: u64) -> u32 {
+/// Split a 48-bit round key into `[even, odd]` masks for [`feistel`]:
+/// S-box `i`'s 6-bit chunk goes to bit `58 - 4i` of the mask of `i`'s
+/// parity, where E places its window, so one XOR keys four S-boxes.
+fn split_round_key(subkey: u64) -> [u64; 2] {
+    let mut masks = [0u64; 2];
+    for i in 0..8 {
+        masks[i % 2] |= ((subkey >> (42 - 6 * i)) & 0x3f) << (58 - 4 * i);
+    }
+    masks
+}
+
+/// The DES round function f(R, K) with a pre-split key: E-expansion by
+/// rotation, then eight SP lookups.
+#[inline(always)]
+fn feistel(r: u32, [even, odd]: [u64; 2]) -> u32 {
     // E's chunk g is input bits 4g..4g+5 (1-based, bit 0 = bit 32): six
     // consecutive bits of R rotated right by one, with wraparound. A
     // duplicated u64 makes every window a plain shift.
     let rot = r.rotate_right(1) as u64;
     let d = (rot << 32) | rot;
-    SP[0][((d >> 58) ^ (subkey >> 42)) as usize & 0x3f]
-        ^ SP[1][((d >> 54) ^ (subkey >> 36)) as usize & 0x3f]
-        ^ SP[2][((d >> 50) ^ (subkey >> 30)) as usize & 0x3f]
-        ^ SP[3][((d >> 46) ^ (subkey >> 24)) as usize & 0x3f]
-        ^ SP[4][((d >> 42) ^ (subkey >> 18)) as usize & 0x3f]
-        ^ SP[5][((d >> 38) ^ (subkey >> 12)) as usize & 0x3f]
-        ^ SP[6][((d >> 34) ^ (subkey >> 6)) as usize & 0x3f]
-        ^ SP[7][((d >> 30) ^ subkey) as usize & 0x3f]
+    let (e, o) = (d ^ even, d ^ odd);
+    SP[0][(e >> 58) as usize & 0x3f]
+        ^ SP[1][(o >> 54) as usize & 0x3f]
+        ^ SP[2][(e >> 50) as usize & 0x3f]
+        ^ SP[3][(o >> 46) as usize & 0x3f]
+        ^ SP[4][(e >> 42) as usize & 0x3f]
+        ^ SP[5][(o >> 38) as usize & 0x3f]
+        ^ SP[6][(e >> 34) as usize & 0x3f]
+        ^ SP[7][(o >> 30) as usize & 0x3f]
 }
 
-#[inline]
-fn des_crypt_fast(schedule: &DesKeySchedule, block: u64, decrypt: bool) -> u64 {
-    let permuted = permute_by_bytes(block, &IP_TAB);
-    let mut l = (permuted >> 32) as u32;
-    let mut r = permuted as u32;
-    for round in 0..16 {
-        let k = if decrypt {
-            schedule.round_keys[15 - round]
-        } else {
-            schedule.round_keys[round]
-        };
-        let next_r = l ^ feistel_fast(r, k);
-        l = r;
-        r = next_r;
+/// One DES pass; returns the halves swapped: FP's input, or the next pass's.
+#[inline(always)]
+fn des_pass<'k>((mut l, mut r): Halves, keys: impl Iterator<Item = &'k [u64; 2]>) -> Halves {
+    for &k in keys {
+        (l, r) = (r, l ^ feistel(r, k));
     }
-    permute_by_bytes(((r as u64) << 32) | l as u64, &FP_TAB)
-}
-
-/// Table-driven single DES (validation / building block for [`TripleDesFast`]).
-#[derive(Clone)]
-pub struct DesFast {
-    schedule: DesKeySchedule,
-}
-
-impl DesFast {
-    /// Build a DES context from an 8-byte key (parity bits ignored).
-    pub fn new(key: &[u8; 8]) -> Self {
-        DesFast {
-            schedule: DesKeySchedule::new(u64::from_be_bytes(*key)),
-        }
-    }
-}
-
-impl BlockCipher for DesFast {
-    fn block_size(&self) -> usize {
-        8
-    }
-    fn encrypt_block(&self, block: &mut [u8]) {
-        assert_eq!(block.len(), 8, "DES block must be 8 bytes");
-        let b = u64::from_be_bytes(block.try_into().unwrap());
-        block.copy_from_slice(&des_crypt_fast(&self.schedule, b, false).to_be_bytes());
-    }
-    fn decrypt_block(&self, block: &mut [u8]) {
-        assert_eq!(block.len(), 8, "DES block must be 8 bytes");
-        let b = u64::from_be_bytes(block.try_into().unwrap());
-        block.copy_from_slice(&des_crypt_fast(&self.schedule, b, true).to_be_bytes());
-    }
+    (r, l)
 }
 
 /// Table-driven Triple DES, EDE3: `C = E_{k3}(D_{k2}(E_{k1}(P)))`.
 #[derive(Clone)]
 pub struct TripleDesFast {
-    k1: DesKeySchedule,
-    k2: DesKeySchedule,
-    k3: DesKeySchedule,
+    /// The 48 round keys of the cascade in E-D-E order, one row per pass.
+    keys: [[[u64; 2]; 16]; 3],
 }
 
 impl TripleDesFast {
     /// Build a 3DES context from a 24-byte key (three 8-byte DES keys).
     pub fn new(key: &[u8; 24]) -> Self {
-        let k = |i: usize| {
-            DesKeySchedule::new(u64::from_be_bytes(key[8 * i..8 * i + 8].try_into().unwrap()))
-        };
-        TripleDesFast {
-            k1: k(0),
-            k2: k(1),
-            k3: k(2),
+        let mut keys = [[[0u64; 2]; 16]; 3];
+        for (pass, row) in keys.iter_mut().enumerate() {
+            let schedule = DesKeySchedule::new(u64::from_be_bytes(
+                key[8 * pass..8 * pass + 8].try_into().unwrap(),
+            ));
+            for (i, k) in row.iter_mut().enumerate() {
+                // The middle pass decrypts: its schedule runs reversed.
+                let round = if pass == 1 { 15 - i } else { i };
+                *k = split_round_key(schedule.round_keys[round]);
+            }
+        }
+        TripleDesFast { keys }
+    }
+
+    /// EDE encryption in the permuted domain.
+    #[inline(always)]
+    fn ede(&self, lr: Halves) -> Halves {
+        self.keys
+            .iter()
+            .fold(lr, |lr, pass| des_pass(lr, pass.iter()))
+    }
+
+    /// XOR the OFB keystream of segment `seq` over `data` in place —
+    /// byte-identical to [`crate::Ofb`] over this cipher with the IV
+    /// `E(seq)`, including SP 800-38A's truncated final block. The chain
+    /// never leaves the permuted domain: one IP for the segment number,
+    /// one FP per keystream block.
+    pub(crate) fn ofb_xor_segment(&self, seq: u64, data: &mut [u8]) {
+        let mut state = self.ede(ip(seq));
+        for block in data.chunks_mut(8) {
+            state = self.ede(state);
+            for (d, k) in block.iter_mut().zip(fp(state).to_be_bytes()) {
+                *d ^= k;
+            }
         }
     }
 }
@@ -207,25 +225,16 @@ impl BlockCipher for TripleDesFast {
     }
     fn encrypt_block(&self, block: &mut [u8]) {
         assert_eq!(block.len(), 8, "3DES block must be 8 bytes");
-        let mut b = u64::from_be_bytes(block.try_into().unwrap());
-        b = des_crypt_fast(&self.k1, b, false);
-        b = des_crypt_fast(&self.k2, b, true);
-        b = des_crypt_fast(&self.k3, b, false);
-        block.copy_from_slice(&b.to_be_bytes());
+        let b = u64::from_be_bytes(block.try_into().unwrap());
+        block.copy_from_slice(&fp(self.ede(ip(b))).to_be_bytes());
     }
     fn decrypt_block(&self, block: &mut [u8]) {
         assert_eq!(block.len(), 8, "3DES block must be 8 bytes");
-        let mut b = u64::from_be_bytes(block.try_into().unwrap());
-        b = des_crypt_fast(&self.k3, b, true);
-        b = des_crypt_fast(&self.k2, b, false);
-        b = des_crypt_fast(&self.k1, b, true);
-        block.copy_from_slice(&b.to_be_bytes());
-    }
-}
-
-impl std::fmt::Debug for DesFast {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DesFast(..)")
+        let b = u64::from_be_bytes(block.try_into().unwrap());
+        // EDE decryption: the same 48 keys, backwards.
+        let passes = self.keys.iter().rev();
+        let lr = passes.fold(ip(b), |lr, pass| des_pass(lr, pass.iter().rev()));
+        block.copy_from_slice(&fp(lr).to_be_bytes());
     }
 }
 
@@ -240,11 +249,20 @@ mod tests {
     use super::*;
     use crate::des::{Des, TripleDes};
 
+    /// A 3DES key with k1 = k2 = k3 = `k8`: EDE then degenerates to single
+    /// DES, so the single-DES known answers pin the fast core.
+    fn tripled(k8: [u8; 8]) -> [u8; 24] {
+        let mut k24 = [0u8; 24];
+        for k in k24.chunks_exact_mut(8) {
+            k.copy_from_slice(&k8);
+        }
+        k24
+    }
+
     #[test]
     fn classic_des_vector() {
         // Same canonical vector the reference pins.
-        let key = 0x1334_5779_9BBC_DFF1u64.to_be_bytes();
-        let des = DesFast::new(&key);
+        let des = TripleDesFast::new(&tripled(0x1334_5779_9BBC_DFF1u64.to_be_bytes()));
         let mut block = 0x0123_4567_89AB_CDEFu64.to_be_bytes();
         des.encrypt_block(&mut block);
         assert_eq!(u64::from_be_bytes(block), 0x85E8_1354_0F0A_B405);
@@ -254,11 +272,40 @@ mod tests {
 
     #[test]
     fn nist_des_all_zero_vector() {
-        let key = 0x0101_0101_0101_0101u64.to_be_bytes();
-        let des = DesFast::new(&key);
+        let des = TripleDesFast::new(&tripled(0x0101_0101_0101_0101u64.to_be_bytes()));
         let mut block = [0u8; 8];
         des.encrypt_block(&mut block);
         assert_eq!(u64::from_be_bytes(block), 0x8CA6_4DE9_C1B1_23A7);
+    }
+
+    #[test]
+    fn sp800_67_three_key_vector() {
+        // NIST SP 800-67 worked example: three distinct keys, three blocks.
+        let mut key = [0u8; 24];
+        for (k, word) in key.chunks_exact_mut(8).zip([
+            0x0123_4567_89AB_CDEFu64,
+            0x2345_6789_ABCD_EF01,
+            0x4567_89AB_CDEF_0123,
+        ]) {
+            k.copy_from_slice(&word.to_be_bytes());
+        }
+        let plaintext = *b"The qufck brown fox jump";
+        let ciphertext = [
+            0xA826_FD8C_E53B_855Fu64,
+            0xCCE2_1C81_1225_6FE6,
+            0x68D5_C05D_D9B6_B900,
+        ];
+        let fast = TripleDesFast::new(&key);
+        let reference = TripleDes::new(&key);
+        for cipher in [&fast as &dyn BlockCipher, &reference as &dyn BlockCipher] {
+            for (pt, &ct) in plaintext.chunks_exact(8).zip(&ciphertext) {
+                let mut block: [u8; 8] = pt.try_into().unwrap();
+                cipher.encrypt_block(&mut block);
+                assert_eq!(u64::from_be_bytes(block), ct);
+                cipher.decrypt_block(&mut block);
+                assert_eq!(block, pt);
+            }
+        }
     }
 
     #[test]
@@ -290,7 +337,7 @@ mod tests {
             for (i, b) in k24.iter_mut().enumerate() {
                 *b = seed.wrapping_mul(23).wrapping_add(i as u8 * 5);
             }
-            let fast = DesFast::new(&k8);
+            let fast = TripleDesFast::new(&tripled(k8));
             let reference = Des::new(&k8);
             let fast3 = TripleDesFast::new(&k24);
             let reference3 = TripleDes::new(&k24);
@@ -318,12 +365,8 @@ mod tests {
     #[test]
     fn triple_des_with_equal_keys_degenerates_to_des() {
         let k8 = 0x1334_5779_9BBC_DFF1u64.to_be_bytes();
-        let mut k24 = [0u8; 24];
-        k24[..8].copy_from_slice(&k8);
-        k24[8..16].copy_from_slice(&k8);
-        k24[16..].copy_from_slice(&k8);
-        let tdes = TripleDesFast::new(&k24);
-        let des = DesFast::new(&k8);
+        let tdes = TripleDesFast::new(&tripled(k8));
+        let des = Des::new(&k8);
         let mut b1 = 0x0123_4567_89AB_CDEFu64.to_be_bytes();
         let mut b2 = b1;
         tdes.encrypt_block(&mut b1);

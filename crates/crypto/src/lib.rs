@@ -47,7 +47,7 @@ pub use cbc::{cbc_decrypt, cbc_encrypt, CbcError};
 pub use ctr::Ctr;
 pub use cost::{CostModel, CostSample};
 pub use des::{Des, TripleDes};
-pub use des_fast::{DesFast, TripleDesFast};
+pub use des_fast::TripleDesFast;
 pub use ofb::Ofb;
 
 /// A block cipher usable in OFB mode.
@@ -109,11 +109,11 @@ impl Algorithm {
     /// models are calibrated against those devices, so the constants stay
     /// put even though this repo's own backends measure differently on
     /// x86 (see EXPERIMENTS.md and `BENCH_cipher.json`): the fast
-    /// table-driven backend shows AES-256 ≈ 1.3× and 3DES ≈ 11×, the
-    /// byte-oriented reference backend ≈ 1.4× and ≈ 50×. The AES ratio is
+    /// table-driven backend shows AES-256 ≈ 1.3× and 3DES ≈ 6×, the
+    /// byte-oriented reference backend ≈ 1.3× and ≈ 25×. The AES ratio is
     /// robust across implementations; the 3DES ratio depends on how much
-    /// DES per-round work is precomputed, and the paper's 6× sits between
-    /// the two extremes.
+    /// DES per-round and per-block work is precomputed or cancelled, and
+    /// the paper's 6× matches the fast core's.
     pub fn relative_cost(self) -> f64 {
         match self {
             Algorithm::Aes128 => 1.0,
@@ -173,8 +173,9 @@ impl std::error::Error for CryptoError {}
 ///   mirrors the [`CostModel`]. Used by tests and as the differential
 ///   oracle.
 /// * [`Fast`](CipherBackend::Fast) — the table-driven implementations in
-///   [`aes_fast`] and [`des_fast`] (T-tables, fused SP tables, byte-lookup
-///   IP/IP⁻¹). The default for every caller that moves real traffic.
+///   [`aes_fast`] (T-tables) and [`des_fast`] (fused SP tables; OFB runs
+///   in DES's permuted domain: one IP per segment, one IP⁻¹ per keystream
+///   block). The default for every caller that moves real traffic.
 /// * [`Bitsliced`](CipherBackend::Bitsliced) — the constant-time 64-lane
 ///   AES core in [`aes_bitsliced`]: no table lookups, so no cache-timing
 ///   leak, and the highest throughput of the three on batched packet
@@ -232,15 +233,25 @@ enum Inner {
 }
 
 impl Inner {
-    fn cipher(&self) -> &dyn BlockCipher {
-        match self {
+    /// XOR segment `seq`'s OFB keystream over `data`. The IV is the
+    /// encryption of the big-endian segment number padded into one block —
+    /// unique per segment under a fixed key, and reconstructible by the
+    /// receiver from the RTP sequence number alone.
+    fn xor_keystream(&self, seq: u64, data: &mut [u8]) {
+        let cipher: &dyn BlockCipher = match self {
             Inner::RefAes128(c) => c,
             Inner::RefAes256(c) => c,
             Inner::RefTripleDes(c) => c,
             Inner::FastAes(c) => c,
-            Inner::FastTripleDes(c) => c,
+            Inner::FastTripleDes(c) => return c.ofb_xor_segment(seq, data),
             Inner::BitslicedAes(c) => c,
-        }
+        };
+        let mut iv = [0u8; 16];
+        let iv = &mut iv[..cipher.block_size()];
+        let n = iv.len();
+        iv[n - 8..].copy_from_slice(&seq.to_be_bytes());
+        cipher.encrypt_block(iv);
+        Ofb::new(cipher, iv).apply(data);
     }
 }
 
@@ -329,36 +340,16 @@ impl SegmentCipher {
         self.backend
     }
 
-    fn iv_for_segment(&self, seq: u64, iv: &mut [u8]) {
-        // The IV is the encryption of the big-endian segment number padded
-        // into one block — unique per segment under a fixed key, and
-        // reconstructible by the receiver from the RTP sequence number alone.
-        for b in iv.iter_mut() {
-            *b = 0;
-        }
-        let n = iv.len();
-        iv[n - 8..].copy_from_slice(&seq.to_be_bytes());
-        self.inner.cipher().encrypt_block(iv);
-    }
-
     /// Encrypt `data` in place as segment number `seq`.
     pub fn encrypt_segment(&self, seq: u64, data: &mut [u8]) {
-        self.xor_keystream(seq, data);
+        self.inner.xor_keystream(seq, data);
     }
 
     /// Decrypt `data` in place as segment number `seq`.
     ///
     /// OFB is an involution: decryption is the same keystream XOR.
     pub fn decrypt_segment(&self, seq: u64, data: &mut [u8]) {
-        self.xor_keystream(seq, data);
-    }
-
-    fn xor_keystream(&self, seq: u64, data: &mut [u8]) {
-        let cipher = self.inner.cipher();
-        let mut iv = [0u8; 16];
-        let iv = &mut iv[..cipher.block_size()];
-        self.iv_for_segment(seq, iv);
-        Ofb::new(cipher, iv).apply(data);
+        self.inner.xor_keystream(seq, data);
     }
 
     /// Encrypt a whole packet train in place: segment `k` is encrypted as
