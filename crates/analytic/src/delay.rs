@@ -51,7 +51,7 @@ impl<'a> DelayModel<'a> {
     }
 
     /// The encryption-time component `T_e^(𝒫)` (eqs. 4, 15, 17).
-    pub fn encryption_component(&self, policy: Policy) -> ServiceComponent {
+    fn encryption_component(&self, policy: Policy) -> ServiceComponent {
         let p = self.params;
         let p_i = p.packet_stats.p_i;
         let q_i = policy.mode.encrypt_prob(FrameType::I);
@@ -69,7 +69,7 @@ impl<'a> DelayModel<'a> {
     }
 
     /// The backoff component `T_b` (eqs. 6–7).
-    pub fn backoff_component(&self) -> ServiceComponent {
+    fn backoff_component(&self) -> ServiceComponent {
         ServiceComponent::GeometricExponential {
             success_prob: self.params.dcf.packet_success_rate,
             rate: self.params.dcf.backoff_rate_hz,
@@ -77,7 +77,7 @@ impl<'a> DelayModel<'a> {
     }
 
     /// The transmission component `T_t` (eqs. 8, 16, 18).
-    pub fn transmission_component(&self) -> ServiceComponent {
+    fn transmission_component(&self) -> ServiceComponent {
         let p = self.params;
         let p_i = p.packet_stats.p_i;
         let mu_i = p.tx_mean_i();

@@ -83,7 +83,7 @@ impl<'a> DistortionModel<'a> {
     /// Both observers overhear the same channel (with MAC retransmissions,
     /// [`ScenarioParams::delivery_rate`]); the eavesdropper additionally
     /// loses every encrypted packet.
-    pub fn decrypt_rate(&self, policy: Policy, observer: Observer, ftype: FrameType) -> f64 {
+    fn decrypt_rate(&self, policy: Policy, observer: Observer, ftype: FrameType) -> f64 {
         let p_d = self.params.delivery_rate();
         match observer {
             Observer::Receiver => p_d,
@@ -93,7 +93,7 @@ impl<'a> DistortionModel<'a> {
 
     /// Frame success probability, eq. (20): the first packet must arrive
     /// and decrypt, plus at least `s` of the remaining `n − 1`.
-    pub fn frame_success(&self, n_packets: f64, sensitivity_frac: f64, p_d: f64) -> f64 {
+    fn frame_success(&self, n_packets: f64, sensitivity_frac: f64, p_d: f64) -> f64 {
         let n = n_packets.round().max(1.0) as usize;
         if p_d <= 0.0 {
             return 0.0;
@@ -243,35 +243,6 @@ impl<'a> DistortionModel<'a> {
             frame_success_p: ps_p,
             live_fraction: total_live / frames_total,
         }
-    }
-
-    /// The literal intra-GOP expectation of eqs. (21)–(22) (Case 1 alone):
-    /// distortion when the GOP's I-frame is received and the first P loss is
-    /// at position i, linearly interpolated between `d_max` (first P lost)
-    /// and `d_min` (last P lost), weighted by the loss-position law.
-    ///
-    /// Exposed for the ablation comparing the paper's closed form against
-    /// the measured-curve chain evaluation in [`predict`](Self::predict).
-    pub fn intra_gop_distortion_eq21(&self, policy: Policy, observer: Observer) -> f64 {
-        let (ps_i, ps_p) = self.frame_success_rates(policy, observer);
-        let g = self.params.gop_size as f64;
-        let d_min = self.scene.distance_mse(1.0);
-        let d_max = self.scene.distance_mse(g - 1.0);
-        let mut acc = 0.0;
-        for i in 1..self.params.gop_size {
-            let fi = i as f64;
-            // Fraction of the GOP frozen: (G − i)/G, at a severity that
-            // interpolates between d_max (i = 1) and d_min (i = G − 1).
-            let severity = if g > 2.0 {
-                (d_max * (g - 1.0 - fi) + d_min * (fi - 1.0)) / (g - 2.0)
-            } else {
-                d_max
-            };
-            let d_i = (g - fi) / g * severity;
-            let p_i_loss = ps_i * ps_p.powi(i as i32 - 1) * (1.0 - ps_p);
-            acc += d_i * p_i_loss;
-        }
-        acc
     }
 }
 
@@ -428,15 +399,6 @@ mod tests {
         assert!((1.0..=5.0).contains(&all.mos));
         // Fully encrypted stream is unviewable: MOS pinned near 1.
         assert!(all.mos < 1.2, "all-encrypted MOS = {}", all.mos);
-    }
-
-    #[test]
-    fn intra_gop_closed_form_is_positive_and_bounded() {
-        let (params, scene) = setup(MotionLevel::Medium, 30);
-        let m = DistortionModel::new(&params, &scene);
-        let v = m.intra_gop_distortion_eq21(policy(EncryptionMode::None), Observer::Eavesdropper);
-        assert!(v >= 0.0);
-        assert!(v <= scene.distance_mse(29.0) + 1e-9);
     }
 
     #[test]

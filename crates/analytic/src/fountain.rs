@@ -70,7 +70,7 @@ impl FountainChannel {
 
     /// Exact distribution of the delivered-symbol count `R` out of `n`
     /// sent: `dist[r] = P(R = r)`, length `n + 1`.
-    pub fn delivered_distribution(&self, n: usize) -> Vec<f64> {
+    fn delivered_distribution(&self, n: usize) -> Vec<f64> {
         match *self {
             FountainChannel::Iid { loss } => {
                 let p = 1.0 - loss;
@@ -137,7 +137,7 @@ impl FountainChannel {
     /// The decode threshold `R*` for a `k`-source block sent as `n`
     /// symbols with peeling margin `m` (see the module docs): the least
     /// delivered count from which peeling completes.
-    pub fn decode_threshold(k: usize, n: usize, margin: f64) -> usize {
+    fn decode_threshold(k: usize, n: usize, margin: f64) -> usize {
         let kf = k as f64;
         let nf = n as f64;
         let r_star = kf * nf * (1.0 + margin) / (nf + margin * kf);
@@ -183,7 +183,7 @@ impl FountainDelayModel {
     }
 
     /// Airtime to spray one block once: `n · symbol_service_s`.
-    pub fn spray_delay_s(&self, k: usize, overhead: f64) -> f64 {
+    fn spray_delay_s(&self, k: usize, overhead: f64) -> f64 {
         Self::symbols_sent(k, overhead) as f64 * self.symbol_service_s
     }
 

@@ -42,6 +42,6 @@ pub mod regression;
 pub use delay::{DelayModel, DelayPrediction};
 pub use fountain::{FountainChannel, FountainDelayModel, DEFAULT_PEELING_MARGIN};
 pub use distortion::{DistortionModel, DistortionPrediction, Observer};
-pub use params::{ArrivalModel, Measurements, ScenarioParams};
+pub use params::{Measurements, ScenarioParams};
 pub use policy::{EncryptionMode, Policy};
 pub use regression::{fit_polynomial, DistancePolynomial, SceneDistortion};

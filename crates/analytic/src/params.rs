@@ -50,7 +50,7 @@ pub const DEFAULT_CHANNEL_PER: f64 = 0.02;
 /// pacing (Section 4.2.1: phase 1 = dense I-fragment trains, phase 2 =
 /// sparse P packets).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalModel {
+struct ArrivalModel {
     /// How much faster than real time the producer reads the file. A
     /// transfer (not a live stream) drains the disk as fast as the queue
     /// admits; the calibration picks this so the queue stays stable under

@@ -80,28 +80,6 @@ pub fn fit_polynomial(xs: &[f64], ys: &[f64], degree: usize) -> DistancePolynomi
     }
 }
 
-/// Reproduce the Figure 2 measurement for one motion class and fit the
-/// degree-5 polynomial the framework consumes.
-///
-/// Generates a `frames`-frame synthetic clip of the requested motion level,
-/// measures mean MSE at reference distances `1..=max_distance`, and fits.
-/// The paper fits over distances up to 4 on 300-frame CIF clips; callers may
-/// extend the distance range so inter-GOP staleness stays inside the fitted
-/// (rather than extrapolated) region.
-pub fn fit_from_scene(
-    motion: MotionLevel,
-    frames: usize,
-    max_distance: usize,
-    seed: u64,
-) -> DistancePolynomial {
-    let generator = SceneGenerator::new(SceneConfig::new(motion, seed));
-    let clip = generator.clip(frames);
-    let mse = distortion_vs_distance(&clip, max_distance);
-    let xs: Vec<f64> = (1..=max_distance).map(|d| d as f64).collect();
-    let degree = 5.min(max_distance - 1).max(1);
-    fit_polynomial(&xs, &mse, degree)
-}
-
 /// Everything the distortion model needs to turn a reference distance into
 /// an MSE, measured from one motion class's content.
 ///
@@ -206,36 +184,6 @@ mod tests {
         let p = fit_polynomial(&xs, &ys, 2);
         assert!((p.eval(100.0) - p.eval(6.0)).abs() < 1e-9);
         assert!(p.eval(-5.0) >= 0.0);
-    }
-
-    #[test]
-    fn scene_fit_orders_by_motion() {
-        // Mirrors Figure 2: at every distance, higher motion ⇒ more distortion.
-        let low = fit_from_scene(MotionLevel::Low, 30, 4, 3);
-        let medium = fit_from_scene(MotionLevel::Medium, 30, 4, 3);
-        let high = fit_from_scene(MotionLevel::High, 30, 4, 3);
-        for d in 1..=4 {
-            let d = d as f64;
-            assert!(
-                low.eval(d) < medium.eval(d) && medium.eval(d) < high.eval(d),
-                "ordering at distance {d}: {} {} {}",
-                low.eval(d),
-                medium.eval(d),
-                high.eval(d)
-            );
-        }
-    }
-
-    #[test]
-    fn scene_fit_grows_with_distance() {
-        let p = fit_from_scene(MotionLevel::High, 30, 6, 4);
-        let mut last = 0.0;
-        for d in 1..=6 {
-            let v = p.eval(d as f64);
-            assert!(v >= last * 0.85, "distortion should broadly grow: {v} after {last}");
-            last = v;
-        }
-        assert!(p.eval(6.0) > 0.0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn traffic_classifier(c: &mut Criterion) {
 }
 
 fn block_modes(c: &mut Criterion) {
-    use thrifty::crypto::{cbc_decrypt, cbc_encrypt, Aes128, Ctr, Ofb};
+    use thrifty::crypto::{Aes128, Ofb};
     let key = [7u8; 16];
     let cipher = Aes128::new(&key);
     let iv = [3u8; 16];
@@ -131,16 +131,6 @@ fn block_modes(c: &mut Criterion) {
     group.bench_function("ofb", |b| {
         let mut buf = payload.clone();
         b.iter(|| Ofb::new(&cipher, &iv).apply(black_box(&mut buf)))
-    });
-    group.bench_function("ctr", |b| {
-        let mut buf = payload.clone();
-        b.iter(|| Ctr::new(&cipher, &iv).apply(black_box(&mut buf)))
-    });
-    group.bench_function("cbc_roundtrip", |b| {
-        b.iter(|| {
-            let ct = cbc_encrypt(&cipher, &iv, black_box(&payload));
-            black_box(cbc_decrypt(&cipher, &iv, &ct).unwrap())
-        })
     });
     group.finish();
 }

@@ -43,7 +43,7 @@ use crate::matrix::{assemble, mix_seed};
 use crate::{Effort, MatrixReport, Row, Table};
 
 /// The swept fleet sizes.
-pub const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
+const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
 
 /// The default scale-path sweep (lean event-calendar flows).
 pub const SCALE_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
@@ -234,7 +234,7 @@ fn sweep(effort: Effort, sizes: &[usize]) -> MatrixReport {
     }
 }
 
-/// Generate the fleet scaling sweep over [`FLEET_SIZES`] × three policies,
+/// Generate the fleet scaling sweep over `FLEET_SIZES` × three policies,
 /// with every violated guarantee (empty = pass). `reproduce fleet` exits
 /// non-zero when any check fails, so CI catches a determinism or caching
 /// regression.

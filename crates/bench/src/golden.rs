@@ -3,7 +3,7 @@
 //! The repository pins canonical JSON snapshots of a representative set of
 //! figure/table outputs under `tests/golden/` (workspace root). The
 //! `golden_figures` integration test re-runs each generator at the fixed
-//! [`golden_effort`] and diffs the fresh output against the snapshot
+//! `golden_effort` and diffs the fresh output against the snapshot
 //! **field by field at tolerance 0**: every number must round-trip to the
 //! identical bit pattern (the renderer prints shortest-roundtrip decimals,
 //! so string equality ⇔ bit equality). Regenerate the snapshots with
@@ -17,7 +17,7 @@ use crate::{
 /// The fixed effort every golden figure is generated at — small enough for
 /// the debug-profile test suite, large enough that the sim paths exercise
 /// real queues. Never change this without re-blessing.
-pub fn golden_effort() -> Effort {
+fn golden_effort() -> Effort {
     Effort {
         trials: 2,
         frames: 60,

@@ -31,11 +31,11 @@ pub mod throughput;
 pub use chaos::{chaos_matrix, StormClass};
 pub use faults::{fault_matrix, FaultClass};
 pub use fleet::{
-    bench_fleet_json, fleet_sweep, scale_sweep, ScaleBench, ScaleReport, FLEET_SIZES, SCALE_SIZES,
+    bench_fleet_json, fleet_sweep, scale_sweep, ScaleBench, ScaleReport, SCALE_SIZES,
     SCALE_SIZE_FULL,
 };
 pub use fountain::fountain_matrix;
-pub use golden::{diff_against_golden, golden_effort, golden_figures, parse_table_json};
+pub use golden::{diff_against_golden, golden_figures, parse_table_json};
 pub use matrix::{LossPoint, MatrixReport, ProtocolKind};
 pub use throughput::{
     bench_cipher_json, measure_cipher_throughput, validate_bench_cipher_schema, CipherThroughput,
@@ -55,7 +55,7 @@ use thrifty::video::quality::distortion_vs_distance;
 use thrifty::video::scene::{SceneConfig, SceneGenerator};
 use thrifty::{headline_metrics, PolicyAdvisor, PrivacyPreference};
 use thrifty_fleet::{par_flat_map, par_map};
-use thrifty_telemetry::{MetricsRegistry, Snapshot, Stage};
+use thrifty_telemetry::{MetricsRegistry, Snapshot};
 
 /// How many trials and frames the regeneration runs use. The paper uses 20
 /// trials over 300-frame CIF clips; `quick()` keeps CI fast while `full()`
@@ -257,47 +257,6 @@ impl FigureMetrics {
             self.merged().to_json()
         )
     }
-}
-
-/// The two sides of the span-decomposition identity for one snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayDecomposition {
-    /// Mean per-packet delay from the `end_to_end` span, seconds.
-    pub end_to_end_mean_s: f64,
-    /// The five pipeline-stage span totals (enqueue + encrypt + DCF backoff
-    /// + transmit + TCP retransmit) divided by the end-to-end count, seconds.
-    pub stage_sum_mean_s: f64,
-}
-
-impl DelayDecomposition {
-    /// Absolute disagreement between the two sides, seconds.
-    pub fn residual_s(&self) -> f64 {
-        (self.end_to_end_mean_s - self.stage_sum_mean_s).abs()
-    }
-}
-
-/// Check the decomposition identity on a snapshot: the per-stage span
-/// totals must re-assemble the end-to-end delay the figures report.
-/// `None` when the snapshot recorded no end-to-end span.
-pub fn delay_decomposition(snap: &Snapshot) -> Option<DelayDecomposition> {
-    let e2e = snap.span(Stage::EndToEnd)?;
-    if e2e.count == 0 {
-        return None;
-    }
-    let stage_total: f64 = [
-        Stage::Enqueue,
-        Stage::Encrypt,
-        Stage::DcfBackoff,
-        Stage::Transmit,
-        Stage::TcpRetransmit,
-    ]
-    .iter()
-    .map(|&s| snap.span(s).map_or(0.0, |sp| sp.total_s))
-    .sum();
-    Some(DelayDecomposition {
-        end_to_end_mean_s: e2e.mean_s(),
-        stage_sum_mean_s: stage_total / e2e.count as f64,
-    })
 }
 
 /// Figure 2: average distortion (MSE) vs reference distance for the three
@@ -1080,6 +1039,48 @@ pub fn ablation_three_phase(effort: Effort) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thrifty_telemetry::Stage;
+
+    /// The two sides of the span-decomposition identity for one snapshot.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DelayDecomposition {
+        /// Mean per-packet delay from the `end_to_end` span, seconds.
+        pub end_to_end_mean_s: f64,
+        /// The five pipeline-stage span totals (enqueue + encrypt + DCF backoff
+        /// + transmit + TCP retransmit) divided by the end-to-end count, seconds.
+        pub stage_sum_mean_s: f64,
+    }
+
+    impl DelayDecomposition {
+        /// Absolute disagreement between the two sides, seconds.
+        pub fn residual_s(&self) -> f64 {
+            (self.end_to_end_mean_s - self.stage_sum_mean_s).abs()
+        }
+    }
+
+    /// Check the decomposition identity on a snapshot: the per-stage span
+    /// totals must re-assemble the end-to-end delay the figures report.
+    /// `None` when the snapshot recorded no end-to-end span.
+    pub fn delay_decomposition(snap: &Snapshot) -> Option<DelayDecomposition> {
+        let e2e = snap.span(Stage::EndToEnd)?;
+        if e2e.count == 0 {
+            return None;
+        }
+        let stage_total: f64 = [
+            Stage::Enqueue,
+            Stage::Encrypt,
+            Stage::DcfBackoff,
+            Stage::Transmit,
+            Stage::TcpRetransmit,
+        ]
+        .iter()
+        .map(|&s| snap.span(s).map_or(0.0, |sp| sp.total_s))
+        .sum();
+        Some(DelayDecomposition {
+            end_to_end_mean_s: e2e.mean_s(),
+            stage_sum_mean_s: stage_total / e2e.count as f64,
+        })
+    }
 
     #[test]
     fn fig2_rows_cover_three_motions_and_four_distances() {

@@ -37,7 +37,7 @@ pub struct CipherThroughput {
 
 impl CipherThroughput {
     /// Throughput in MB/s (10⁶ bytes), the unit the docs quote.
-    pub fn mb_per_sec(&self) -> f64 {
+    fn mb_per_sec(&self) -> f64 {
         self.bytes_per_sec / 1e6
     }
 }

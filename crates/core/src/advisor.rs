@@ -102,7 +102,7 @@ impl PolicyAdvisor {
     }
 
     /// Evaluate one mode end to end.
-    pub fn evaluate(&self, mode: EncryptionMode) -> Recommendation {
+    fn evaluate(&self, mode: EncryptionMode) -> Recommendation {
         let policy = Policy::new(self.algorithm, mode);
         let delay = DelayModel::new(&self.params)
             .predict(policy)

@@ -56,11 +56,6 @@ impl CostModel {
         self.setup_s + n as f64 * self.per_byte_s
     }
 
-    /// Variance of the encryption time (size-independent jitter), seconds².
-    pub fn variance(&self) -> f64 {
-        self.jitter_std_s * self.jitter_std_s
-    }
-
     /// Least-squares fit of `(setup_s, per_byte_s)` from timing samples, with
     /// `jitter_std_s` set to the residual standard deviation.
     ///

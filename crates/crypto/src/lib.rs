@@ -33,9 +33,7 @@
 pub mod aes;
 pub mod aes_bitsliced;
 pub mod aes_fast;
-pub mod cbc;
 pub mod cost;
-pub mod ctr;
 pub mod des;
 pub mod des_fast;
 pub mod ofb;
@@ -43,8 +41,6 @@ pub mod ofb;
 pub use aes::{Aes128, Aes256};
 pub use aes_bitsliced::AesBitsliced;
 pub use aes_fast::AesFast;
-pub use cbc::{cbc_decrypt, cbc_encrypt, CbcError};
-pub use ctr::Ctr;
 pub use cost::{CostModel, CostSample};
 pub use des::{Des, TripleDes};
 pub use des_fast::TripleDesFast;

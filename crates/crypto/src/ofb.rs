@@ -44,7 +44,7 @@ impl<'c, C: BlockCipher + ?Sized> Ofb<'c, C> {
 
     /// Produce the next keystream byte.
     #[inline]
-    pub fn next_byte(&mut self) -> u8 {
+    fn next_byte(&mut self) -> u8 {
         if self.cursor == self.feedback.len() {
             self.cipher.encrypt_block(&mut self.feedback);
             self.cursor = 0;
@@ -59,7 +59,7 @@ impl<'c, C: BlockCipher + ?Sized> Ofb<'c, C> {
     /// Works block-at-a-time: any partially consumed keystream block is
     /// drained byte-wise first, then whole blocks are generated with one
     /// `encrypt_block` each and XORed in word-sized chunks, and a final
-    /// partial block falls back to [`next_byte`](Ofb::next_byte). The
+    /// partial block falls back to `next_byte`. The
     /// cursor state is identical to what the byte loop would leave, so
     /// `apply` and `next_byte` calls can be interleaved freely.
     pub fn apply(&mut self, data: &mut [u8]) {

@@ -108,11 +108,6 @@ impl<E> Calendar<E> {
         Some((entry.key, entry.event))
     }
 
-    /// The key of the earliest pending event without removing it.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(e)| e.key)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -180,11 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_returns_the_earliest_key() {
         let mut cal = Calendar::new();
         cal.schedule(key(2.0, 1, 0), ());
         cal.schedule(key(1.0, 9, 4), ());
-        assert_eq!(cal.peek_key(), Some(key(1.0, 9, 4)));
         let (k, ()) = cal.pop().unwrap();
         assert_eq!(k, key(1.0, 9, 4));
         assert_eq!(cal.len(), 1);

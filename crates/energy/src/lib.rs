@@ -1,7 +1,7 @@
 //! # thrifty-energy
 //!
-//! Device power model and energy accounting — the substitute for the
-//! paper's Monsoon power-monitor measurements (Section 6.3).
+//! Device power model — the substitute for the paper's Monsoon
+//! power-monitor measurements (Section 6.3).
 //!
 //! The paper measures phone power during the transfer and reports, e.g.,
 //! that on the Samsung Galaxy S-II with slow-motion video a fully encrypted
@@ -19,26 +19,15 @@
 //!   sleep ~97% of the time. This is why the paper's I-only policy is so
 //!   much cheaper than its byte count alone would suggest.
 //!
-//! [`monsoon_uah_to_watts`] implements the paper's eq. (29) conversion, and
-//! [`PowerMeter`] integrates a simulated trace the way the Monsoon does.
+//! Power is modelled directly in watts ([`PowerProfile::power_w`]). The
+//! paper's eq. (29) converts Monsoon µAh readings to watts; there is no
+//! Monsoon trace to convert here, so the conversion is not implemented.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use thrifty_analytic::policy::Policy;
 use thrifty_video::encoder::EncodedStream;
-
-/// eq. (29): convert a Monsoon reading `v` in µAh over `duration_s` seconds
-/// at `voltage` volts into average watts.
-pub fn monsoon_uah_to_watts(v_uah: f64, voltage: f64, duration_s: f64) -> f64 {
-    assert!(duration_s > 0.0, "duration must be positive");
-    v_uah * voltage * 3600.0 * 1e-6 / duration_s
-}
-
-/// Inverse of [`monsoon_uah_to_watts`] — what the Monsoon would display.
-pub fn watts_to_monsoon_uah(watts: f64, voltage: f64, duration_s: f64) -> f64 {
-    watts * duration_s / (voltage * 3600.0 * 1e-6)
-}
 
 /// Power characteristics of one device (calibrated to Section 6.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,15 +103,6 @@ impl CryptoLoad {
             cycles_per_byte: 25.0 * policy.algorithm.relative_cost(),
         }
     }
-
-    /// A load with nothing encrypted.
-    pub fn idle() -> Self {
-        CryptoLoad {
-            encrypted_bytes_per_s: 0.0,
-            encrypted_frames_per_s: 0.0,
-            cycles_per_byte: 0.0,
-        }
-    }
 }
 
 impl PowerProfile {
@@ -134,65 +114,10 @@ impl PowerProfile {
         self.baseline_w + self.crypto_active_w * duty + self.joules_per_cycle * cycles_per_s
     }
 
-    /// Energy for a transfer of the given duration, joules.
-    pub fn energy_j(&self, load: &CryptoLoad, duration_s: f64) -> f64 {
-        self.power_w(load) * duration_s
-    }
-
     /// Relative power increase of `load` over the unencrypted baseline
     /// (`0.11` ⇔ "+11%").
     pub fn relative_increase(&self, load: &CryptoLoad) -> f64 {
         self.power_w(load) / self.baseline_w - 1.0
-    }
-}
-
-/// Integrates an instantaneous power trace like the Monsoon monitor: feed
-/// `(timestamp, watts)` samples, read back mean power and the equivalent
-/// µAh figure.
-#[derive(Debug, Clone, Default)]
-pub struct PowerMeter {
-    samples: Vec<(f64, f64)>,
-}
-
-impl PowerMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an instantaneous `(time_s, watts)` sample; times must be
-    /// non-decreasing.
-    pub fn record(&mut self, time_s: f64, watts: f64) {
-        if let Some(&(last, _)) = self.samples.last() {
-            assert!(time_s >= last, "samples must be time-ordered");
-        }
-        self.samples.push((time_s, watts));
-    }
-
-    /// Trapezoidal energy integral over the recorded trace, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.samples
-            .windows(2)
-            .map(|w| 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0))
-            .sum()
-    }
-
-    /// Mean power over the trace, watts (0 for fewer than 2 samples).
-    pub fn mean_power_w(&self) -> f64 {
-        match (self.samples.first(), self.samples.last()) {
-            (Some(&(t0, _)), Some(&(t1, _))) if t1 > t0 => self.energy_j() / (t1 - t0),
-            _ => 0.0,
-        }
-    }
-
-    /// What the Monsoon would display for this trace at `voltage` volts.
-    pub fn monsoon_uah(&self, voltage: f64) -> f64 {
-        match (self.samples.first(), self.samples.last()) {
-            (Some(&(t0, _)), Some(&(t1, _))) if t1 > t0 => {
-                watts_to_monsoon_uah(self.mean_power_w(), voltage, t1 - t0)
-            }
-            _ => 0.0,
-        }
     }
 }
 
@@ -213,16 +138,6 @@ mod tests {
 
     fn load(motion: MotionLevel, alg: Algorithm, mode: EncryptionMode) -> CryptoLoad {
         CryptoLoad::from_stream(&stream(motion), Policy::new(alg, mode))
-    }
-
-    #[test]
-    fn eq29_roundtrip() {
-        let w = monsoon_uah_to_watts(5000.0, 3.9, 35.0);
-        let v = watts_to_monsoon_uah(w, 3.9, 35.0);
-        assert!((v - 5000.0).abs() < 1e-9);
-        // Hand check: 1000 µAh at 3.9 V over 1 hour:
-        // 1000e-6 Ah · 3.9 V = 3.9 mWh ⇒ over 3600 s ⇒ 3.9e-3 W.
-        assert!((monsoon_uah_to_watts(1000.0, 3.9, 3600.0) - 3.9e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -331,34 +246,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn meter_integrates_trapezoid() {
-        let mut m = PowerMeter::new();
-        m.record(0.0, 1.0);
-        m.record(1.0, 3.0);
-        m.record(2.0, 3.0);
-        // 0..1: mean 2 W ⇒ 2 J; 1..2: 3 W ⇒ 3 J.
-        assert!((m.energy_j() - 5.0).abs() < 1e-12);
-        assert!((m.mean_power_w() - 2.5).abs() < 1e-12);
-        let uah = m.monsoon_uah(3.9);
-        assert!((monsoon_uah_to_watts(uah, 3.9, 2.0) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_meter_reads_zero() {
-        let m = PowerMeter::new();
-        assert_eq!(m.energy_j(), 0.0);
-        assert_eq!(m.mean_power_w(), 0.0);
-        assert_eq!(m.monsoon_uah(3.9), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "samples must be time-ordered")]
-    fn meter_rejects_unordered_samples() {
-        let mut m = PowerMeter::new();
-        m.record(1.0, 1.0);
-        m.record(0.5, 1.0);
     }
 }

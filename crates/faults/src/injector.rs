@@ -149,16 +149,6 @@ impl PacketInjector {
         }
     }
 
-    /// True when no air-side site is armed: `on_packet` is then the
-    /// identity and consumes no randomness.
-    pub fn is_passthrough(&self) -> bool {
-        self.corruption.is_none()
-            && self.duplication.is_none()
-            && self.truncation.is_none()
-            && self.reorder.is_none()
-            && self.burst.is_none()
-    }
-
     /// Counts so far (the reorder buffer may still hold packets).
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -405,7 +395,6 @@ mod tests {
     fn empty_plan_is_the_identity() {
         let metrics = MetricsRegistry::disabled();
         let mut inj = PacketInjector::new(&FaultPlan::none(1), 12, &metrics);
-        assert!(inj.is_passthrough());
         for n in [0usize, 1, 12, 1500] {
             let out = inj.on_packet(pkt(n));
             assert_eq!(out, vec![pkt(n)]);

@@ -69,7 +69,7 @@ pub struct BurstLossFault {
 
 impl BurstLossFault {
     /// Stationary probability of being inside a burst episode.
-    pub fn stationary_burst(&self) -> f64 {
+    fn stationary_burst(&self) -> f64 {
         self.p_enter / (self.p_enter + self.p_exit)
     }
 

@@ -8,9 +8,9 @@
 //! so one degree draw costs one RNG word and O(log k).
 
 /// Default robust-soliton `c` parameter (ripple-size scale).
-pub const DEFAULT_C: f64 = 0.05;
+const DEFAULT_C: f64 = 0.05;
 /// Default robust-soliton decode-failure target δ.
-pub const DEFAULT_DELTA: f64 = 0.05;
+const DEFAULT_DELTA: f64 = 0.05;
 
 /// A precomputed robust-soliton distribution over degrees `1..=k`.
 ///

@@ -18,5 +18,5 @@
 pub mod degree;
 pub mod lt;
 
-pub use degree::{RobustSoliton, SolitonError, DEFAULT_C, DEFAULT_DELTA};
-pub use lt::{neighbors, symbol_rng, BlockEncoder, FecError, PeelingDecoder};
+pub use degree::{RobustSoliton, SolitonError};
+pub use lt::{BlockEncoder, FecError, PeelingDecoder};

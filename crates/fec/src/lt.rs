@@ -40,7 +40,7 @@ fn mix(mut z: u64) -> u64 {
 /// The RNG stream that generates encoded symbol `symbol_id` of block
 /// `block` under `seed`. Allocation-free: FNV-1a over the domain tag
 /// continued over the block and symbol ids' little-endian bytes.
-pub fn symbol_rng(seed: u64, block: u32, symbol_id: u32) -> StdRng {
+fn symbol_rng(seed: u64, block: u32, symbol_id: u32) -> StdRng {
     let mut h = fnv1a(b"fec.symbol");
     for b in block.to_le_bytes().into_iter().chain(symbol_id.to_le_bytes()) {
         h ^= b as u64;
@@ -83,7 +83,7 @@ impl std::error::Error for FecError {}
 /// draw a robust-soliton degree, then pick that many **distinct** indices
 /// by rejection over the shared seeded stream; indices are returned in
 /// draw order (the XOR is order-independent, the determinism is not).
-pub fn neighbors(seed: u64, block: u32, symbol_id: u32, dist: &RobustSoliton) -> Vec<usize> {
+fn neighbors(seed: u64, block: u32, symbol_id: u32, dist: &RobustSoliton) -> Vec<usize> {
     let k = dist.k();
     if (symbol_id as usize) < k {
         return vec![symbol_id as usize];
@@ -154,11 +154,6 @@ impl BlockEncoder {
     /// Source symbol length in bytes.
     pub fn symbol_len(&self) -> usize {
         self.symbol_len
-    }
-
-    /// The degree distribution in use (shared shape with the decoder).
-    pub fn distribution(&self) -> &RobustSoliton {
-        &self.dist
     }
 
     /// Source symbol `i` (zero-padded tail included).

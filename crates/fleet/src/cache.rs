@@ -40,14 +40,7 @@ use thrifty_queueing::solver::SolveError;
 use thrifty_queueing::solver_n::{MmppN, MmppNG1, QueueSolutionN};
 use thrifty_telemetry::{MetricsRegistry, Snapshot};
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use crate::rng::fnv1a;
 
 /// Stable textual key for an encryption mode: variant tag plus the exact
 /// bit pattern of any fraction (labels round, bits do not).
@@ -119,7 +112,7 @@ impl<T> Default for BoundedMemo<T> {
 ///
 /// The table is **bounded**: each family holds at most
 /// [`capacity`](Self::capacity) entries (default
-/// [`DEFAULT_CAPACITY`](Self::DEFAULT_CAPACITY)), evicted FIFO. Solves are
+/// `DEFAULT_CAPACITY`), evicted FIFO. Solves are
 /// pure functions of their key, so an eviction can never change a value
 /// any caller observes — a re-query after eviction recomputes the
 /// identical bits and costs one extra [`MISSES`](Self::MISSES) (plus one
@@ -149,7 +142,7 @@ impl SolveCache {
     /// Default per-family capacity — far above any real sweep's working
     /// set (a cell touches ~3 keys; the full figure suite a few dozen), so
     /// the bound only matters as a worst-case memory cap.
-    pub const DEFAULT_CAPACITY: usize = 1024;
+    const DEFAULT_CAPACITY: usize = 1024;
 
     /// An empty cache with the default capacity.
     pub fn new() -> Self {

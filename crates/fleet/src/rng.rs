@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// FNV-1a of a byte string (same constants as the offline proptest drop-in
-/// and `thrifty-faults`).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// and `thrifty-faults`); also keys the solve cache.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -74,7 +74,7 @@ impl<'a> CallGraph<'a> {
         &self.files[id.file].fns[id.item]
     }
 
-    /// Qualified display name: `sim::run_pipeline`, `bytes::BufferPool::acquire`.
+    /// Qualified display name: `sim::run_pipeline`, `fleet::SolveCache::dcf`.
     pub fn qual(&self, id: FnId) -> String {
         let file = &self.files[id.file];
         let f = self.item(id);

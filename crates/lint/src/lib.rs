@@ -21,6 +21,7 @@
 
 pub mod callgraph;
 pub mod dataflow;
+pub mod deadpub;
 pub mod lexer;
 pub mod locks;
 pub mod parse;
@@ -50,8 +51,9 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
 
 /// Lint a whole set of sources together: the token tiers per file, plus
 /// the call-graph tiers (transitive taint, plaintext-escape dataflow,
-/// lock ordering) across all of them, with waivers applied once per file
-/// over the combined findings.
+/// lock ordering) and the dead-`pub` tier across all of them, with waivers
+/// applied once per file over the combined findings. The report also
+/// counts each crate's non-test lines.
 ///
 /// `files` is `(workspace-relative path, source text)` pairs; they are
 /// sorted by path internally so reports are deterministic regardless of
@@ -60,24 +62,34 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     let mut sorted: Vec<&(String, String)> = files.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // Pass 1: lex, test regions, token-tier findings, item parse, waivers.
+    // Pass 1: lex, test regions, token-tier findings, item parse, waivers,
+    // non-test line counts.
     struct Pre<'a> {
         path: &'a str,
         toks: Vec<lexer::Tok>,
+        regions: scope::TestRegions,
         raw: Vec<Finding>,
     }
     let mut pres: Vec<Pre<'_>> = Vec::with_capacity(sorted.len());
     let mut indexes: Vec<parse::FileIndex> = Vec::with_capacity(sorted.len());
     let mut waivers_by_path: BTreeMap<&str, Vec<waiver::Waiver>> = BTreeMap::new();
+    let mut non_test_lines: BTreeMap<String, usize> = BTreeMap::new();
     for (path, src) in &sorted {
         let toks = lexer::lex(src);
         let regions = scope::test_regions(path, &toks);
         let raw = rules::check_tokens(path, &toks, &regions);
         indexes.push(parse::index_file(path, &toks, &regions));
         waivers_by_path.insert(path.as_str(), waiver::collect(&toks));
+        if let Some(dir) = report::crate_dir(path) {
+            let lines = (1..=src.lines().count() as u32)
+                .filter(|&l| !regions.is_test_line(l))
+                .count();
+            *non_test_lines.entry(dir).or_default() += lines;
+        }
         pres.push(Pre {
             path,
             toks,
+            regions,
             raw,
         });
     }
@@ -96,6 +108,11 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     let mut extra: Vec<Finding> = taint::taint_findings(&graph, &waived);
     extra.extend(dataflow::dataflow_findings(&graph));
     extra.extend(locks::lock_findings(&graph));
+    let with_regions: Vec<(&parse::FileIndex, &scope::TestRegions)> = indexes
+        .iter()
+        .zip(pres.iter().map(|p| &p.regions))
+        .collect();
+    extra.extend(deadpub::dead_pub_findings(&with_regions));
 
     // Pass 3: merge per file and apply waivers once over the union.
     let mut extra_by_path: BTreeMap<&str, Vec<Finding>> = BTreeMap::new();
@@ -112,6 +129,7 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     let mut report = Report {
         findings: Vec::new(),
         files_scanned: sorted.len(),
+        non_test_lines,
     };
     for pre in pres {
         let mut combined = pre.raw;
@@ -199,13 +217,15 @@ pub fn run_cli(args: &[String]) -> u8 {
                             [--baseline <report.json>] [--list-rules]\n\n\
                      Walks every .rs file in the workspace and enforces the\n\
                      token tiers (determinism, panic-free, numeric) plus the\n\
-                     call-graph tiers (taint, dataflow, locks, hygiene); see\n\
-                     --list-rules. `--tier` restricts the *report* to the\n\
-                     named tier(s) — analysis always runs in full so waiver\n\
-                     accounting stays exact. `--baseline` suppresses the\n\
-                     findings recorded in a committed --json report. Exits\n\
-                     non-zero on any remaining unwaived finding. Waive\n\
-                     locally with `// lint:allow(<rule>): <reason>`."
+                     call-graph tiers (taint, dataflow, locks, hygiene) and\n\
+                     the dead-pub tier (dead); see --list-rules. `--tier`\n\
+                     restricts the *report* to the named tier(s) — analysis\n\
+                     always runs in full so waiver accounting stays exact.\n\
+                     `--baseline` suppresses the findings recorded in a\n\
+                     committed --json report. `--json` also counts each\n\
+                     crate's non-test lines. Exits non-zero on any\n\
+                     remaining unwaived finding. Waive locally with\n\
+                     `// lint:allow(<rule>): <reason>`."
                 );
                 return 0;
             }

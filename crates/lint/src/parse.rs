@@ -74,13 +74,26 @@ pub struct FnItem {
     pub facts: Vec<Fact>,
 }
 
+/// One bare-`pub` item declaration (`pub(crate)` and friends excluded),
+/// recorded outside test regions for the dead-code tier.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// Item keyword: `fn`, `struct`, `enum`, `trait`, `type`, `union`,
+    /// `const` or `static`.
+    pub kind: &'static str,
+    /// Declared name.
+    pub name: String,
+    /// Line of the name token.
+    pub line: u32,
+}
+
 /// Per-file parse result: items plus the import/lock-name environment the
 /// call-graph and lock tiers need.
 #[derive(Debug, Clone)]
 pub struct FileIndex {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Short crate name (`sim`, `net`, `bytes`, `root`).
+    /// Short crate name (`sim`, `net`, `rand`, `root`).
     pub crate_name: String,
     /// File stem (`pipeline`), used to resolve `module::fn` paths.
     pub module: String,
@@ -96,10 +109,22 @@ pub struct FileIndex {
     pub lock_names: BTreeSet<String>,
     /// Identifiers declared as `RwLock<…>` fields/bindings in this file.
     pub rwlock_names: BTreeSet<String>,
+    /// Bare-`pub` item declarations outside test regions, in source order.
+    pub pub_items: Vec<PubItem>,
+    /// Code-token indexes of identifiers that name an item without using
+    /// it: declaration names, the self type of an `impl` header, and every
+    /// token of a `pub use` re-export.
+    pub non_mentions: BTreeSet<usize>,
+    /// Code-token indexes inside a public signature, outside test regions:
+    /// a bare-`pub` item's header up to its body or `;`, a `pub` field's
+    /// type, the whole body of a `pub enum` or `pub trait`, and a trait
+    /// impl's header and item signatures. A type named there is exported
+    /// through that signature.
+    pub signatures: BTreeSet<usize>,
 }
 
 /// Short crate name for a workspace-relative path.
-pub fn crate_of(rel_path: &str) -> String {
+fn crate_of(rel_path: &str) -> String {
     let parts: Vec<&str> = rel_path.split('/').collect();
     match parts.as_slice() {
         ["crates", c, ..] => (*c).to_string(),
@@ -181,8 +206,12 @@ pub fn index_file(rel_path: &str, toks: &[Tok], regions: &TestRegions) -> FileIn
         glob_imports: BTreeSet::new(),
         lock_names: BTreeSet::new(),
         rwlock_names: BTreeSet::new(),
+        pub_items: Vec::new(),
+        non_mentions: BTreeSet::new(),
+        signatures: BTreeSet::new(),
     };
     collect_lock_names(&mut idx);
+    collect_declarations(&mut idx, regions);
     let end = idx.code.len();
     let mut p = Parser {
         idx: &mut idx,
@@ -237,6 +266,190 @@ fn collect_lock_names(idx: &mut FileIndex) {
             }
         }
     }
+}
+
+/// Item keywords whose next identifier is the declared name.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "union", "const", "static", "mod",
+];
+
+/// Record bare-`pub` item declarations and the identifier tokens that are
+/// not mentions: every declared name, each item-position `impl` header's
+/// self type, and every token of a `pub use` statement.
+fn collect_declarations(idx: &mut FileIndex, regions: &TestRegions) {
+    let code = &idx.code;
+    let text = |i: usize| code.get(i).map_or("", |t| t.text.as_str());
+    for j in 0..code.len() {
+        let t = &code[j];
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        match t.text.as_str() {
+            "pub" => {
+                // `pub(crate) use …` re-exports are re-exports too.
+                let mut k = j + 1;
+                if text(k) == "(" {
+                    while k < code.len() && text(k) != ")" {
+                        k += 1;
+                    }
+                    k += 1;
+                }
+                if text(k) == "use" {
+                    while k < code.len() && text(k) != ";" {
+                        idx.non_mentions.insert(k);
+                        k += 1;
+                    }
+                    continue;
+                }
+                if text(j + 1) == "(" || regions.is_test_line(t.line) {
+                    continue;
+                }
+                let item = declared_item(code, j + 1);
+                if let Some((kind, name_at)) = item {
+                    if kind != "mod" {
+                        idx.pub_items.push(PubItem {
+                            kind,
+                            name: code[name_at].text.clone(),
+                            line: code[name_at].line,
+                        });
+                    }
+                }
+                idx.signatures
+                    .extend(j..public_signature_end(code, j, item));
+            }
+            "impl" if j == 0 || matches!(text(j - 1), "}" | ";" | "]" | "{" | "unsafe") => {
+                let (self_type, signatures) = impl_header(code, j);
+                idx.non_mentions.extend(self_type);
+                if !regions.is_test_line(t.line) {
+                    idx.signatures.extend(signatures);
+                }
+            }
+            kw if ITEM_KEYWORDS.contains(&kw) => {
+                if let Some((_, name_at)) = declared_item(code, j) {
+                    idx.non_mentions.insert(name_at);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// If an item declaration starts at `k` (after any `pub`), its keyword and
+/// the code-token index of its name. Qualifiers (`const fn`, `unsafe`,
+/// `async`, `extern "C"`) and `static mut` are skipped; `const _` and
+/// function-pointer types (`fn(u8)`) declare nothing.
+fn declared_item(code: &[Tok], mut k: usize) -> Option<(&'static str, usize)> {
+    let text = |i: usize| code.get(i).map_or("", |t| t.text.as_str());
+    loop {
+        match text(k) {
+            "unsafe" | "async" | "extern" => k += 1,
+            "const" if matches!(text(k + 1), "fn" | "unsafe" | "async" | "extern") => k += 1,
+            _ if code.get(k).is_some_and(|t| t.kind == TokKind::Str) => k += 1,
+            _ => break,
+        }
+    }
+    let kind = ITEM_KEYWORDS.iter().find(|kw| **kw == text(k))?;
+    let mut name_at = k + 1;
+    if *kind == "static" && text(name_at) == "mut" {
+        name_at += 1;
+    }
+    let name = code.get(name_at)?;
+    (name.kind == TokKind::Ident && name.text != "_").then_some((kind, name_at))
+}
+
+/// One past the last code token of the public signature opened by the
+/// `pub` at `start`. For an item (`item` as [`declared_item`] found it)
+/// that is its header up to a depth-0 `{` or `;` (or the `=` of a `const`
+/// or `static`), taking in the braced body of an `enum` or `trait`; for a
+/// field it is the field's type, up to a depth-0 `,` or the closing
+/// bracket.
+fn public_signature_end(code: &[Tok], start: usize, item: Option<(&str, usize)>) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in code.iter().enumerate().skip(start + 1) {
+        match (t.text.as_str(), item) {
+            ("{", Some((kind, _))) if depth == 0 => {
+                if !matches!(kind, "enum" | "trait") {
+                    return k;
+                }
+                depth += 1;
+            }
+            (";", Some(_)) if depth == 0 => return k,
+            ("=", Some(("const" | "static", _))) if depth == 0 => return k,
+            (",", None) if depth == 0 => return k,
+            ("(" | "[" | "<" | "{", _) => depth += 1,
+            (")" | "]" | ">" | "}", _) => {
+                depth -= 1;
+                if depth < 0 {
+                    return k;
+                }
+                if depth == 0 && t.text == "}" && item.is_some() {
+                    return k + 1;
+                }
+            }
+            (">>", _) => depth -= 2,
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// The `impl` header at `start`, as two sets of code-token indexes: its
+/// self-type path (the depth-0 identifiers after `for`, or all of them
+/// without one, up to `where` or the body), and for a trait impl the
+/// signatures it exposes: the header and each associated item's signature.
+/// A type named there (`type Err = ParseError;`) is as public as the
+/// trait. Generic arguments and the trait name stay mentions.
+fn impl_header(code: &[Tok], start: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut self_type = Vec::new();
+    let mut trait_impl = false;
+    let mut in_where = false;
+    let mut depth = 0i32;
+    let mut open = start + 1;
+    while let Some(t) = code.get(open) {
+        match t.text.as_str() {
+            "<" => depth += 1,
+            ">" => depth -= 1,
+            ">>" => depth -= 2,
+            "{" | ";" if depth <= 0 => break,
+            "where" if depth <= 0 => in_where = true,
+            "for" if depth <= 0 && !in_where => {
+                trait_impl = true;
+                self_type.clear();
+            }
+            name if depth <= 0
+                && !in_where
+                && t.kind == TokKind::Ident
+                && !KEYWORDS.contains(&name) =>
+            {
+                self_type.push(open)
+            }
+            _ => {}
+        }
+        open += 1;
+    }
+    let mut signatures = Vec::new();
+    if trait_impl && code.get(open).is_some_and(|t| t.text == "{") {
+        signatures.extend(start..open);
+        let mut braces = 0i32;
+        for k in open..code.len() {
+            match code[k].text.as_str() {
+                "{" => braces += 1,
+                "}" => {
+                    braces -= 1;
+                    if braces == 0 {
+                        break;
+                    }
+                }
+                _ if braces == 1 => {
+                    if let Some(item) = declared_item(code, k) {
+                        signatures.extend(k..public_signature_end(code, k - 1, Some(item)));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    (self_type, signatures)
 }
 
 struct Parser<'a> {
@@ -729,14 +942,14 @@ impl P {
     }
 }
 ";
-        let idx = index("compat/bytes/src/pool.rs", src);
+        let idx = index("crates/fleet/src/cache.rs", src);
         assert!(idx.fns[0].returns_guard);
     }
 
     #[test]
     fn lock_names_are_collected_from_field_types() {
         let src = "struct I { free: Mutex<Vec<u8>>, meta: RwLock<u8> } fn f() {}";
-        let idx = index("compat/bytes/src/pool.rs", src);
+        let idx = index("crates/fleet/src/cache.rs", src);
         assert!(idx.lock_names.contains("free"));
         assert!(idx.rwlock_names.contains("meta"));
         assert!(!idx.rwlock_names.contains("free"));

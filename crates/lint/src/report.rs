@@ -5,6 +5,8 @@
 //! with `/` separators, and no timestamps, durations or absolute paths are
 //! ever emitted.
 
+use std::collections::BTreeMap;
+
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -25,6 +27,23 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Physical lines outside test regions per crate directory:
+    /// `crates/<c>` or `compat/<c>` for their `src/` trees, `.` for the
+    /// root package's `src/`.
+    pub non_test_lines: BTreeMap<String, usize>,
+}
+
+/// The crate directory whose non-test lines `path` counts toward:
+/// `crates/<c>` or `compat/<c>` for their `src/` trees, `.` for the root
+/// package's `src/`, and `None` for tests, benches, examples and anything
+/// outside the workspace's crates.
+pub(crate) fn crate_dir(path: &str) -> Option<String> {
+    let parts: Vec<&str> = path.split('/').collect();
+    match parts.as_slice() {
+        [top @ ("crates" | "compat"), c, "src", _, ..] => Some(format!("{top}/{c}")),
+        ["src", _, ..] => Some(".".to_string()),
+        _ => None,
+    }
 }
 
 impl Report {
@@ -60,7 +79,8 @@ impl Report {
     }
 
     /// Render the machine-readable report (stable field order, sorted
-    /// findings, no timestamps — byte-identical across runs).
+    /// findings, no timestamps — byte-identical across runs), ending with
+    /// the per-crate non-test line counts and their total.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"version\": 1,\n");
@@ -82,7 +102,12 @@ impl Report {
         if !self.findings.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("]\n}\n");
+        out.push_str("],\n  \"non_test_lines\": {");
+        for (dir, n) in &self.non_test_lines {
+            out.push_str(&format!("\n    {}: {n},", json_str(dir)));
+        }
+        let total: usize = self.non_test_lines.values().sum();
+        out.push_str(&format!("\n    \"total\": {total}\n  }}\n}}\n"));
         out
     }
 }
@@ -268,6 +293,7 @@ mod tests {
         let mut r = Report {
             findings: vec![f("b.rs", 1, "x"), f("a.rs", 9, "x"), f("a.rs", 2, "z"), f("a.rs", 2, "a")],
             files_scanned: 4,
+            ..Report::default()
         };
         r.normalize();
         let order: Vec<_> = r.findings.iter().map(|f| (f.path.as_str(), f.line)).collect();
@@ -280,6 +306,7 @@ mod tests {
         let r = Report {
             findings: vec![f("a.rs", 1, "x")],
             files_scanned: 1,
+            ..Report::default()
         };
         let j = r.render_json();
         assert!(j.contains("m \\\"quoted\\\""));
@@ -298,6 +325,7 @@ mod tests {
         let r = Report {
             findings: vec![f("a.rs", 1, "x"), f("crates/sim/src/p.rs", 451, "plaintext-escape")],
             files_scanned: 2,
+            ..Report::default()
         };
         let parsed = parse_baseline(&r.render_json()).expect("round trip");
         assert_eq!(parsed, r.findings);
@@ -307,6 +335,34 @@ mod tests {
     fn baseline_rejects_garbage() {
         assert!(parse_baseline("not json").is_err());
         assert!(parse_baseline("{\"findings\": [{\"path\": \"a\"}]}").is_err());
+    }
+
+    #[test]
+    fn non_test_lines_render_per_crate_with_a_total() {
+        assert_eq!(
+            crate_dir("crates/sim/src/pipeline.rs").as_deref(),
+            Some("crates/sim")
+        );
+        assert_eq!(
+            crate_dir("compat/rand/src/lib.rs").as_deref(),
+            Some("compat/rand")
+        );
+        assert_eq!(crate_dir("src/lib.rs").as_deref(), Some("."));
+        assert_eq!(crate_dir("crates/sim/tests/t.rs"), None);
+        assert_eq!(crate_dir("examples/demo.rs"), None);
+        assert_eq!(crate_dir("perfbench/src/main.rs"), None);
+        let r = Report {
+            non_test_lines: [("crates/a".to_string(), 3), (".".to_string(), 4)].into(),
+            ..Report::default()
+        };
+        let j = r.render_json();
+        assert!(
+            j.ends_with("\"non_test_lines\": {\n    \".\": 4,\n    \"crates/a\": 3,\n    \"total\": 7\n  }\n}\n"),
+            "json: {j}"
+        );
+        assert!(parse_baseline(&j)
+            .expect("baseline ignores the counts")
+            .is_empty());
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! - **numeric** — float comparisons against literals, truncating casts in
 //!   wire codecs, and leftover debug macros are banned.
 //!
+//! The call-graph tiers (taint, dataflow, locks) and the workspace-wide
+//! `dead` tier ([`crate::deadpub`]) run over the whole scan instead of one
+//! file.
+//!
 //! Every rule can be waived locally with an audited
 //! `// lint:allow(<rule>): <reason>` comment (see [`crate::waiver`]).
 
@@ -30,13 +34,13 @@ pub const PANIC_UNWRAP: &str = "panic-unwrap";
 /// Panic-freedom: no `panic!` / `unreachable!` in wire/bitstream parsers.
 pub const PANIC_MACRO: &str = "panic-macro";
 /// Panic-freedom: no slice indexing by literal in wire/bitstream parsers.
-pub const PANIC_SLICE_INDEX: &str = "panic-slice-index";
+const PANIC_SLICE_INDEX: &str = "panic-slice-index";
 /// Numeric safety: no bare `==`/`!=` against a float literal outside tests.
-pub const NUM_FLOAT_EQ: &str = "num-float-eq";
+const NUM_FLOAT_EQ: &str = "num-float-eq";
 /// Numeric safety: no truncating `as` casts in wire codecs.
-pub const NUM_AS_TRUNCATE: &str = "num-as-truncate";
+const NUM_AS_TRUNCATE: &str = "num-as-truncate";
 /// Hygiene: no `todo!` / `unimplemented!` / `dbg!` anywhere, tests included.
-pub const NUM_DEBUG_MACRO: &str = "num-debug-macro";
+const NUM_DEBUG_MACRO: &str = "num-debug-macro";
 /// Taint: a deterministic-crate function transitively reaching a wall
 /// clock, ambient RNG or hash-ordered collection through the call graph.
 pub const DET_TAINT: &str = "det-taint";
@@ -50,13 +54,15 @@ pub const PLAINTEXT_ESCAPE: &str = "plaintext-escape";
 pub const LOCK_ORDER: &str = "lock-order-inversion";
 /// Hygiene: a crate root missing `#![forbid(unsafe_code)]` or
 /// `#![deny(missing_docs)]`.
-pub const CRATE_ATTRS: &str = "crate-attrs";
+const CRATE_ATTRS: &str = "crate-attrs";
+/// Dead code: a library crate's `pub` item that no other file names.
+pub const DEAD_PUB: &str = "dead-pub";
 /// Meta: a waiver without a parseable rule list or non-empty reason.
-pub const WAIVER_MALFORMED: &str = "waiver-malformed";
+const WAIVER_MALFORMED: &str = "waiver-malformed";
 /// Meta: a waiver naming a rule this linter does not define.
-pub const WAIVER_UNKNOWN_RULE: &str = "waiver-unknown-rule";
+const WAIVER_UNKNOWN_RULE: &str = "waiver-unknown-rule";
 /// Meta: a well-formed waiver that suppressed nothing.
-pub const WAIVER_UNUSED: &str = "waiver-unused";
+const WAIVER_UNUSED: &str = "waiver-unused";
 
 /// Static description of one rule, for `--list-rules` and docs.
 #[derive(Debug, Clone, Copy)]
@@ -142,6 +148,11 @@ pub const RULES: &[RuleInfo] = &[
         summary: "crate root missing #![forbid(unsafe_code)] or #![deny(missing_docs)]",
     },
     RuleInfo {
+        name: DEAD_PUB,
+        tier: "dead",
+        summary: "library-crate pub item that no identifier names outside its own file's tests (or only its own file names: drop pub)",
+    },
+    RuleInfo {
         name: WAIVER_MALFORMED,
         tier: "waiver",
         summary: "lint:allow comment without a rule list or non-empty reason",
@@ -159,7 +170,7 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// True if `name` is a rule the engine defines.
-pub fn is_known_rule(name: &str) -> bool {
+fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A waiver is a line comment that locally suppresses one or more rules.
 //! It must carry a non-empty reason — the reason is the audit trail, so a
-//! reasonless waiver is itself a violation ([`crate::rules::WAIVER_MALFORMED`]),
+//! reasonless waiver is itself a violation (`waiver-malformed`),
 //! as is a waiver naming an unknown rule or one that suppresses nothing.
 //!
 //! Placement:
@@ -28,7 +28,7 @@ pub struct Waiver {
 }
 
 /// The marker that introduces a waiver inside a line comment.
-pub const MARKER: &str = "lint:allow";
+const MARKER: &str = "lint:allow";
 
 /// Extract all waivers from a token stream.
 pub fn collect(toks: &[Tok]) -> Vec<Waiver> {

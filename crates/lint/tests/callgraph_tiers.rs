@@ -1,7 +1,7 @@
 //! Integration coverage for the call-graph tiers: transitive taint with
 //! full chain rendering, plaintext-escape dataflow, lock-order analysis,
 //! the `--tier` / `--baseline` CLI contract, and double-scan byte-identity
-//! of the `--json` output for the new rules.
+//! of the `--json` output for the call-graph and dead-pub rules.
 
 use thrifty_lint::report::parse_baseline;
 use thrifty_lint::{run_cli, scan_sources, scan_workspace, Report};
@@ -305,13 +305,28 @@ fn new_tier_json_is_byte_identical_across_scans() {
         ("crates/sim/src/flow_fixture.rs", flow.as_str()),
         ("crates/net/src/lock_fixture.rs", locks.as_str()),
     ];
+    let dead = fixture("dead_pub_items.rs");
+    let files: Vec<(&str, &str)> = files
+        .into_iter()
+        .chain([
+            (
+                "crates/demo/src/lib.rs",
+                "//! Root.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub mod items;\n",
+            ),
+            ("crates/demo/src/items.rs", dead.as_str()),
+        ])
+        .collect();
     let a = scan(&files).render_json();
     let b = scan(&files).render_json();
     assert_eq!(a, b, "double scan must be byte-identical");
-    assert!(a.contains("\"finding_count\": 6"), "json: {a}");
+    // 6 call-graph findings, and 11 dead-pub items: with no callers in
+    // this scan, every `pub` item of the fixture but `Exported` is dead.
+    assert!(a.contains("\"finding_count\": 17"), "json: {a}");
     assert!(a.contains("det-taint"));
     assert!(a.contains("plaintext-escape"));
     assert!(a.contains("lock-order-inversion"));
+    assert!(a.contains("dead-pub"));
+    assert!(a.contains("\"non_test_lines\": {"));
 }
 
 // ---- --baseline and --tier ----------------------------------------------
@@ -330,11 +345,12 @@ const BAD_DET_LIB: &str = "//! Fixture crate root.\n\
 fn baseline_suppresses_committed_findings_end_to_end() {
     let dir = temp_workspace("baseline", &[("crates/sim/src/lib.rs", BAD_DET_LIB)]);
     let root = dir.to_string_lossy().to_string();
-    // Unbaselined, the wall-clock read is a finding.
+    // Unbaselined, the wall-clock read is a finding, and so is the
+    // uncalled `pub fn` (dead-pub).
     assert_eq!(cli(&["--root", &root]), 1);
     // Commit the current report as the baseline; the same scan is clean.
     let report = scan_workspace(&dir).unwrap();
-    assert_eq!(report.findings.len(), 1);
+    assert_eq!(report.findings.len(), 2);
     let baseline = dir.join("baseline.json");
     std::fs::write(&baseline, report.render_json()).unwrap();
     let parsed = parse_baseline(&report.render_json()).unwrap();
@@ -351,8 +367,9 @@ fn tier_flag_restricts_the_report_without_skipping_analysis() {
     let dir = temp_workspace("tier", &[("crates/sim/src/lib.rs", BAD_DET_LIB)]);
     let root = dir.to_string_lossy().to_string();
     assert_eq!(cli(&["--root", &root, "--tier", "determinism"]), 1);
-    // The only finding is a determinism one: filtering to another tier
-    // leaves the report clean.
+    assert_eq!(cli(&["--root", &root, "--tier", "dead"]), 1);
+    // The findings are one determinism and one dead-pub finding:
+    // filtering to another tier leaves the report clean.
     assert_eq!(cli(&["--root", &root, "--tier", "hygiene"]), 0);
     assert_eq!(cli(&["--root", &root, "--tier", "locks", "--tier", "dataflow"]), 0);
     std::fs::remove_dir_all(&dir).ok();

@@ -67,22 +67,6 @@ impl PacketCapture {
         }
         self.packets.iter().filter(|p| p.encrypted).count() as f64 / self.packets.len() as f64
     }
-
-    /// Set of frame indices for which *every* captured packet is usable —
-    /// i.e. frames the eavesdropper might reconstruct (ignoring packets it
-    /// never overheard; callers cross-check counts against the stream).
-    pub fn fully_clear_frames(&self) -> std::collections::BTreeSet<usize> {
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut clear: BTreeMap<usize, bool> = BTreeMap::new();
-        for p in &self.packets {
-            let e = clear.entry(p.frame_index).or_insert(true);
-            *e &= !p.encrypted;
-        }
-        clear
-            .into_iter()
-            .filter_map(|(f, ok)| ok.then_some(f))
-            .collect::<BTreeSet<_>>()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +88,6 @@ mod tests {
         let c = PacketCapture::new();
         assert!(c.is_empty());
         assert_eq!(c.encrypted_fraction(), 0.0);
-        assert!(c.fully_clear_frames().is_empty());
     }
 
     #[test]
@@ -116,23 +99,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.usable().count(), 2);
         assert!((c.encrypted_fraction() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fully_clear_frames_requires_all_packets_clear() {
-        let mut c = PacketCapture::new();
-        // Frame 0: one of two packets encrypted → not clear.
-        c.record(pkt(0, 0, true));
-        c.record(pkt(1, 0, false));
-        // Frame 1: all clear.
-        c.record(pkt(2, 1, false));
-        c.record(pkt(3, 1, false));
-        // Frame 2: all encrypted.
-        c.record(pkt(4, 2, true));
-        let clear = c.fully_clear_frames();
-        assert!(!clear.contains(&0));
-        assert!(clear.contains(&1));
-        assert!(!clear.contains(&2));
     }
 
     #[test]

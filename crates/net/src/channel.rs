@@ -149,7 +149,7 @@ impl GilbertElliottChannel {
     }
 
     /// Stationary probability of being in the Good state.
-    pub fn stationary_good(&self) -> f64 {
+    fn stationary_good(&self) -> f64 {
         self.p_bg / (self.p_gb + self.p_bg)
     }
 }
@@ -172,52 +172,6 @@ impl LossChannel for GilbertElliottChannel {
     fn success_rate(&self) -> f64 {
         let pg = self.stationary_good();
         pg * self.good_success + (1.0 - pg) * self.bad_success
-    }
-}
-
-/// A [`LossChannel`] wrapper that counts delivered and lost packets on the
-/// `net.channel.delivered` / `net.channel.lost` counters.
-///
-/// The wrapper consumes exactly the same RNG draws as the wrapped channel,
-/// so metering never perturbs a seeded simulation.
-#[derive(Debug)]
-pub struct MeteredChannel<C: LossChannel> {
-    inner: C,
-    delivered: thrifty_telemetry::Counter,
-    lost: thrifty_telemetry::Counter,
-}
-
-impl<C: LossChannel> MeteredChannel<C> {
-    /// Wrap `inner`, acquiring counter handles from `metrics` once (the
-    /// per-packet cost is a single relaxed atomic add; zero when the
-    /// registry is disabled).
-    pub fn new(inner: C, metrics: &thrifty_telemetry::MetricsRegistry) -> Self {
-        MeteredChannel {
-            inner,
-            delivered: metrics.counter("net.channel.delivered"),
-            lost: metrics.counter("net.channel.lost"),
-        }
-    }
-
-    /// The wrapped channel.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: LossChannel> LossChannel for MeteredChannel<C> {
-    fn transmit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        let ok = self.inner.transmit(rng);
-        if ok {
-            self.delivered.inc();
-        } else {
-            self.lost.inc();
-        }
-        ok
-    }
-
-    fn success_rate(&self) -> f64 {
-        self.inner.success_rate()
     }
 }
 
@@ -352,28 +306,6 @@ mod tests {
     #[should_panic(expected = "must be in [0, 1]")]
     fn gilbert_elliott_new_panics_on_nan() {
         GilbertElliottChannel::new(0.1, 0.2, f64::NAN, 0.5);
-    }
-
-    #[test]
-    fn metered_channel_counts_without_perturbing_the_rng() {
-        use thrifty_telemetry::MetricsRegistry;
-        let metrics = MetricsRegistry::enabled();
-        let n = 10_000;
-        // Reference run: bare channel.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut bare = GilbertElliottChannel::new(0.05, 0.2, 0.99, 0.5);
-        let reference: Vec<bool> = (0..n).map(|_| bare.transmit(&mut rng)).collect();
-        // Metered run from the same seed must produce the same outcomes.
-        let mut rng = StdRng::seed_from_u64(11);
-        let ge = GilbertElliottChannel::new(0.05, 0.2, 0.99, 0.5);
-        let mut metered = MeteredChannel::new(ge, &metrics);
-        let observed: Vec<bool> = (0..n).map(|_| metered.transmit(&mut rng)).collect();
-        assert_eq!(observed, reference);
-        let snap = metrics.snapshot();
-        let delivered = reference.iter().filter(|&&ok| ok).count() as u64;
-        assert_eq!(snap.counter("net.channel.delivered"), delivered);
-        assert_eq!(snap.counter("net.channel.lost"), n as u64 - delivered);
-        assert_eq!(metered.success_rate(), metered.inner().success_rate());
     }
 
     mod properties {

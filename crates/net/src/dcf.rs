@@ -233,16 +233,6 @@ impl DcfModel {
     }
 }
 
-impl DcfSolution {
-    /// Expected time a packet spends in backoff before its successful
-    /// attempt: `(1/p_s − 1)` failed attempts, each followed by a mean
-    /// backoff wait — the per-packet contention cost that the calibrated
-    /// service time (eqs. 6–7) folds in. Grows without bound as `p_s → 0`.
-    pub fn expected_backoff_s(&self) -> f64 {
-        (1.0 / self.packet_success_rate - 1.0) * self.mean_backoff_wait_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +338,8 @@ mod tests {
         let mut last_ps = 2.0;
         for n in 1..=120usize {
             let s = model(n).solve();
-            let cost = s.expected_backoff_s();
+            // (1/p_s − 1) failed attempts, each followed by a mean wait.
+            let cost = (1.0 / s.packet_success_rate - 1.0) * s.mean_backoff_wait_s;
             assert!(
                 cost >= last_cost,
                 "backoff cost dropped at n={n}: {cost} after {last_cost}"
@@ -417,13 +408,5 @@ mod tests {
         let b = DcfModel::new(5, 0.02, PhyParams::g_54mbps());
         assert_eq!(a, b);
         assert_eq!(a.try_solve().unwrap(), b.solve());
-    }
-
-    #[test]
-    fn expected_backoff_matches_geometric_mean() {
-        let s = model(10).solve();
-        let expected = (1.0 / s.packet_success_rate - 1.0) * s.mean_backoff_wait_s;
-        assert!((s.expected_backoff_s() - expected).abs() < 1e-18);
-        assert!(s.expected_backoff_s() > 0.0);
     }
 }

@@ -14,10 +14,9 @@
 //!   policy ordering.
 
 use rand::Rng;
-use thrifty_recover::RtoEstimator;
 
 /// TCP option kind we use for the encryption marker (experimental range).
-pub const MARKER_OPTION_KIND: u8 = 0xFE;
+const MARKER_OPTION_KIND: u8 = 0xFE;
 
 /// Errors from TCP segment parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,37 +234,6 @@ impl TcpLatencyModel {
         }
         delay
     }
-
-    /// Sample the extra delay of a single segment with an **adaptive** RTO:
-    /// each wait is whatever `estimator` currently believes, every loss
-    /// feeds the estimator a timeout (doubling it, up to its cap), and a
-    /// **first-attempt** delivery feeds back `rtt_s` as an RTT sample
-    /// (Karn's rule: deliveries that needed a retransmission are skipped).
-    ///
-    /// The loss draws mirror [`sample_extra_delay_s`](Self::sample_extra_delay_s)
-    /// draw-for-draw, so a fixed-vs-adaptive comparison can replay the exact
-    /// same loss pattern from the same seed.
-    pub fn sample_extra_delay_adaptive_s<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        estimator: &mut RtoEstimator,
-        rtt_s: f64,
-    ) -> f64 {
-        let mut delay = 0.0;
-        let mut attempt = 0u32;
-        while rng.gen_bool(self.loss_prob) {
-            delay += estimator.rto_s();
-            estimator.on_timeout();
-            attempt += 1;
-            if attempt > 50 {
-                break; // pathological RNG stream; cap for safety
-            }
-        }
-        if attempt == 0 {
-            estimator.on_rtt_sample(rtt_s);
-        }
-        delay
-    }
 }
 
 /// A [`TcpLatencyModel`] wrapper that meters retransmission behaviour:
@@ -459,42 +427,6 @@ mod tests {
         );
         assert_eq!(TcpLatencyModel::try_new(0.1, 0.0), Err(TcpModelError::BadRto(0.0)));
         assert_eq!(TcpLatencyModel::try_new(0.2, 0.1), Ok(TcpLatencyModel::new(0.2, 0.1)));
-    }
-
-    #[test]
-    fn adaptive_sampling_preserves_draw_cadence() {
-        use thrifty_recover::{RtoConfig, RtoEstimator};
-        let m = TcpLatencyModel::new(0.4, 0.05);
-        let mut rng_fixed = StdRng::seed_from_u64(7);
-        let mut rng_adaptive = StdRng::seed_from_u64(7);
-        let mut est = RtoEstimator::new(RtoConfig::default());
-        for _ in 0..1000 {
-            let _ = m.sample_extra_delay_s(&mut rng_fixed);
-            let _ = m.sample_extra_delay_adaptive_s(&mut rng_adaptive, &mut est, 0.02);
-        }
-        // Both streams consumed the same number of draws, so they agree on
-        // the next value.
-        let next_fixed: f64 = rng_fixed.gen_range(0.0..1.0);
-        let next_adaptive: f64 = rng_adaptive.gen_range(0.0..1.0);
-        assert_eq!(next_fixed.to_bits(), next_adaptive.to_bits());
-    }
-
-    #[test]
-    fn converged_adaptive_rto_stalls_less_than_pessimistic_fixed() {
-        use thrifty_recover::{RtoConfig, RtoEstimator};
-        // Fixed RTO of 250 ms on a path whose real RTT is 20 ms: the
-        // adaptive estimator converges down while staying capped at the
-        // fixed value, so its total stall is structurally no worse.
-        let m = TcpLatencyModel::new(0.3, 0.25);
-        let cfg = RtoConfig::try_new(0.25, 0.002, 0.25, 6).unwrap();
-        let mut est = RtoEstimator::new(cfg);
-        let mut rng_fixed = StdRng::seed_from_u64(11);
-        let mut rng_adaptive = StdRng::seed_from_u64(11);
-        let fixed: f64 = (0..5000).map(|_| m.sample_extra_delay_s(&mut rng_fixed)).sum();
-        let adaptive: f64 = (0..5000)
-            .map(|_| m.sample_extra_delay_adaptive_s(&mut rng_adaptive, &mut est, 0.02))
-            .sum();
-        assert!(adaptive < fixed, "adaptive {adaptive} vs fixed {fixed}");
     }
 
     #[test]

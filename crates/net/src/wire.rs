@@ -6,8 +6,6 @@
 //! real RFC 3550 / RFC 768 encodings, in the style of smoltcp: a zero-copy
 //! `Packet<T>` wrapper with checked construction and field accessors.
 
-use bytes::{BufMut, BytesMut};
-
 /// RTP fixed header length, bytes (no CSRC, no extension).
 pub const RTP_HEADER_LEN: usize = 12;
 
@@ -96,14 +94,14 @@ pub struct RtpHeader {
 impl RtpHeader {
     /// Serialise header + payload into a fresh buffer.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(RTP_HEADER_LEN + payload.len());
-        buf.put_u8(2 << 6); // V=2, P=0, X=0, CC=0
-        buf.put_u8((u8::from(self.marker) << 7) | (self.payload_type & 0x7f));
-        buf.put_u16(self.sequence);
-        buf.put_u32(self.timestamp);
-        buf.put_u32(self.ssrc);
-        buf.put_slice(payload);
-        buf.to_vec()
+        let mut buf = Vec::with_capacity(RTP_HEADER_LEN + payload.len());
+        buf.push(2 << 6); // V=2, P=0, X=0, CC=0
+        buf.push((u8::from(self.marker) << 7) | (self.payload_type & 0x7f));
+        buf.extend_from_slice(&self.sequence.to_be_bytes());
+        buf.extend_from_slice(&self.timestamp.to_be_bytes());
+        buf.extend_from_slice(&self.ssrc.to_be_bytes());
+        buf.extend_from_slice(payload);
+        buf
     }
 
     /// Serialise the 12-byte header into the front of `dst` in place —
@@ -203,19 +201,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> RtpPacket<T> {
     pub fn payload_mut(&mut self) -> &mut [u8] {
         &mut self.buffer.as_mut()[RTP_HEADER_LEN..]
     }
-
-    /// Set or clear the marker (encryption) bit in place.
-    pub fn set_marker(&mut self, marker: bool) {
-        // `parse` validated the length, so byte 1 always exists; `get_mut`
-        // keeps the accessor total without a bounds-check panic path.
-        if let Some(byte) = self.buffer.as_mut().get_mut(1) {
-            if marker {
-                *byte |= 0x80;
-            } else {
-                *byte &= 0x7f;
-            }
-        }
-    }
 }
 
 /// Decoded UDP header (RFC 768).
@@ -233,16 +218,17 @@ impl UdpHeader {
     /// Serialise header + payload (checksum transmitted as 0 — legal for
     /// IPv4 UDP and irrelevant to the model).
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(8 + payload.len());
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
+        let mut buf = Vec::with_capacity(8 + payload.len());
+        buf.extend_from_slice(&self.src_port.to_be_bytes());
+        buf.extend_from_slice(&self.dst_port.to_be_bytes());
         // RFC 768 carries a 16-bit length; our MTU-segmented payloads sit
         // far below the ceiling, and an oversized one saturates instead of
         // silently wrapping around.
-        buf.put_u16(u16::try_from(8 + payload.len()).unwrap_or(u16::MAX));
-        buf.put_u16(0);
-        buf.put_slice(payload);
-        buf.to_vec()
+        let length = u16::try_from(8 + payload.len()).unwrap_or(u16::MAX);
+        buf.extend_from_slice(&length.to_be_bytes());
+        buf.extend_from_slice(&[0, 0]);
+        buf.extend_from_slice(payload);
+        buf
     }
 
     /// Parse a datagram into header and payload.
@@ -481,19 +467,14 @@ mod tests {
     #[test]
     fn marker_bit_signals_encryption() {
         let mut h = header();
-        h.marker = false;
-        let mut wire = h.emit(b"plain");
-        {
-            let pkt = RtpPacket::parse(wire.as_slice()).expect("clear-marker packet must parse");
-            assert!(!pkt.header().marker);
+        for marker in [false, true] {
+            h.marker = marker;
+            let wire = h.emit(b"plain");
+            let pkt = RtpPacket::parse(wire.as_slice()).expect("emitted packet must parse");
+            assert_eq!(pkt.header().marker, marker);
+            // The marker must not disturb the payload type.
+            assert_eq!(pkt.header().payload_type, 96);
         }
-        let mut pkt = RtpPacket::parse(wire.as_mut_slice()).expect("mutable view must parse");
-        pkt.set_marker(true);
-        assert!(pkt.header().marker);
-        // Setting the marker must not disturb the payload type.
-        assert_eq!(pkt.header().payload_type, 96);
-        pkt.set_marker(false);
-        assert!(!pkt.header().marker);
     }
 
     #[test]

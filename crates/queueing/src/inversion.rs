@@ -33,7 +33,7 @@ impl Complex {
     }
 
     /// The real number `x`.
-    pub fn real(x: f64) -> Self {
+    fn real(x: f64) -> Self {
         Complex { re: x, im: 0.0 }
     }
 
@@ -61,7 +61,7 @@ impl Complex {
     }
 
     /// Complex quotient.
-    pub fn div(self, o: Complex) -> Complex {
+    fn div(self, o: Complex) -> Complex {
         let d = o.re * o.re + o.im * o.im;
         Complex::new(
             (self.re * o.re + self.im * o.im) / d,
@@ -97,7 +97,7 @@ fn component_lst_c(c: &ServiceComponent, s: Complex) -> Complex {
 }
 
 /// Service LST at a complex argument: product over independent parts.
-pub fn service_lst_c(service: &ServiceDistribution, s: Complex) -> Complex {
+fn service_lst_c(service: &ServiceDistribution, s: Complex) -> Complex {
     let mut acc = Complex::real(1.0);
     for part in service.parts() {
         acc = acc.mul(component_lst_c(part, s));
@@ -107,7 +107,7 @@ pub fn service_lst_c(service: &ServiceDistribution, s: Complex) -> Complex {
 
 /// The waiting-time LST `Ŵ(s)` of an arriving packet, evaluated at complex
 /// `s`, given a solved queue (for ρ and g).
-pub fn wait_lst_c(
+fn wait_lst_c(
     mmpp: &Mmpp2,
     service: &ServiceDistribution,
     solution: &QueueSolution,
@@ -153,7 +153,7 @@ pub fn wait_lst_c(
 ///
 /// `lst(s)` must return the LST of the *distribution* (`E[e^{−sX}]`); the
 /// function inverts `lst(s)/s` — the transform of the CDF — at `t > 0`.
-pub fn euler_invert_cdf(lst: impl Fn(Complex) -> Complex, t: f64) -> f64 {
+fn euler_invert_cdf(lst: impl Fn(Complex) -> Complex, t: f64) -> f64 {
     assert!(t > 0.0, "CDF inversion needs t > 0");
     // Standard Euler parameters: A controls discretisation error (~1e-8),
     // N regular terms, M Euler-averaged tail terms.
@@ -207,7 +207,7 @@ impl<'a> WaitDistribution<'a> {
 
     /// The exact probability mass at `W = 0` (an arriving packet finds the
     /// system idle): `w(0) = (1−ρ)·g`, rate-biased over phases.
-    pub fn atom_at_zero(&self) -> f64 {
+    fn atom_at_zero(&self) -> f64 {
         let g = self.solution.g_stationary;
         (1.0 - self.solution.rho) * (g[0] * self.mmpp.lambda1 + g[1] * self.mmpp.lambda2)
             / self.solution.mean_rate
@@ -236,13 +236,11 @@ impl<'a> WaitDistribution<'a> {
 
     /// `P{W ≤ t}` for an arriving packet.
     ///
-    /// The atom at zero is handled analytically ([`atom_at_zero`]) and only
+    /// The atom at zero is handled analytically (`atom_at_zero`) and only
     /// the continuous part goes through the Euler inversion — without the
     /// split, the constant term dominates the Bromwich sum at small `t` and
     /// the result loses several digits. Below [`t_floor`](Self::t_floor)
     /// the contour is invalid and the CDF is reported as the atom alone.
-    ///
-    /// [`atom_at_zero`]: Self::atom_at_zero
     pub fn cdf(&self, t: f64) -> f64 {
         if t <= 0.0 {
             return 0.0;

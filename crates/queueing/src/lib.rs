@@ -40,7 +40,7 @@ pub mod simulate;
 pub mod solver;
 pub mod solver_n;
 
-pub use inversion::{euler_invert_cdf, Complex, WaitDistribution};
+pub use inversion::{Complex, WaitDistribution};
 pub use matrix::Matrix;
 pub use mmpp::{Mmpp2, MmppError};
 pub use service::{ServiceComponent, ServiceDistribution};

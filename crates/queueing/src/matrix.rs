@@ -132,14 +132,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix × column-vector: `self · v`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
-    }
-
     /// Max-abs entry (∞-ish norm used for exp scaling).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
@@ -260,6 +252,16 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Matrix {
+        /// Matrix × column-vector: `self · v`.
+        pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+            assert_eq!(v.len(), self.cols, "vector length mismatch");
+            (0..self.rows)
+                .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
+                .collect()
+        }
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");

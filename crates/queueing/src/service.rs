@@ -65,19 +65,6 @@ impl ServiceComponent {
         }
     }
 
-    /// Third raw moment `E\[X³\]`.
-    pub fn moment3(&self) -> f64 {
-        match self {
-            ServiceComponent::GaussianMixture(atoms) => atoms
-                .iter()
-                .map(|&(w, m, s)| w * (m * m * m + 3.0 * m * s * s))
-                .sum(),
-            ServiceComponent::GeometricExponential { success_prob, rate } => {
-                6.0 * (1.0 - success_prob) / (success_prob.powi(3) * rate.powi(3))
-            }
-        }
-    }
-
     /// Scalar Laplace–Stieltjes transform `E[e^{-sX}]`.
     pub fn lst(&self, s: f64) -> f64 {
         match self {
@@ -155,14 +142,6 @@ impl ServiceComponent {
             }
         }
     }
-
-    /// Sum of mixture weights (should be 1); used for validation.
-    pub fn total_weight(&self) -> f64 {
-        match self {
-            ServiceComponent::GaussianMixture(atoms) => atoms.iter().map(|a| a.0).sum(),
-            ServiceComponent::GeometricExponential { .. } => 1.0,
-        }
-    }
 }
 
 /// The service time as an independent sum of components (product-form LST,
@@ -204,12 +183,6 @@ impl ServiceDistribution {
         self
     }
 
-    /// Convolve with another service distribution (independent sum).
-    pub fn convolve(mut self, other: &ServiceDistribution) -> Self {
-        self.parts.extend(other.parts.iter().cloned());
-        self
-    }
-
     /// Mean `h₁ = E\[T\]`.
     pub fn mean(&self) -> f64 {
         self.parts.iter().map(|p| p.mean()).sum()
@@ -225,27 +198,6 @@ impl ServiceDistribution {
             .map(|p| p.moment2() - p.mean() * p.mean())
             .sum();
         var + mean * mean
-    }
-
-    /// Third raw moment `E\[T³\]`, from additive central third moments.
-    pub fn moment3(&self) -> f64 {
-        let mean = self.mean();
-        let var: f64 = self
-            .parts
-            .iter()
-            .map(|p| p.moment2() - p.mean() * p.mean())
-            .sum();
-        let mu3: f64 = self
-            .parts
-            .iter()
-            .map(|p| {
-                let m = p.mean();
-                let m2 = p.moment2();
-                let m3 = p.moment3();
-                m3 - 3.0 * m * m2 + 2.0 * m * m * m
-            })
-            .sum();
-        mu3 + 3.0 * mean * var + mean.powi(3)
     }
 
     /// Scalar LST `H̃(s) = Π H̃ᵢ(s)` (eq. 10).
@@ -273,6 +225,44 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ServiceComponent {
+        /// Third raw moment `E\[X³\]`.
+        fn moment3(&self) -> f64 {
+            match self {
+                ServiceComponent::GaussianMixture(atoms) => atoms
+                    .iter()
+                    .map(|&(w, m, s)| w * (m * m * m + 3.0 * m * s * s))
+                    .sum(),
+                ServiceComponent::GeometricExponential { success_prob, rate } => {
+                    6.0 * (1.0 - success_prob) / (success_prob.powi(3) * rate.powi(3))
+                }
+            }
+        }
+    }
+
+    impl ServiceDistribution {
+        /// Third raw moment `E\[T³\]`, from additive central third moments.
+        fn moment3(&self) -> f64 {
+            let mean = self.mean();
+            let var: f64 = self
+                .parts
+                .iter()
+                .map(|p| p.moment2() - p.mean() * p.mean())
+                .sum();
+            let mu3: f64 = self
+                .parts
+                .iter()
+                .map(|p| {
+                    let m = p.mean();
+                    let m2 = p.moment2();
+                    let m3 = p.moment3();
+                    m3 - 3.0 * m * m2 + 2.0 * m * m * m
+                })
+                .sum();
+            mu3 + 3.0 * mean * var + mean.powi(3)
+        }
+    }
 
     fn assert_close(a: f64, b: f64, rel: f64) {
         let denom = b.abs().max(1e-300);
@@ -313,23 +303,6 @@ mod tests {
         let d2 = (lst(h) - 2.0 * lst(0.0) + lst(-h)) / (h * h);
         assert_close(-d1, c.mean(), 1e-4);
         assert_close(d2, c.moment2(), 1e-3);
-    }
-
-    #[test]
-    fn convolution_adds_means_and_variances() {
-        let a = ServiceDistribution::gaussian(1.0, 0.2);
-        let b = ServiceDistribution::gaussian(2.0, 0.3);
-        let c = a.convolve(&b);
-        assert_close(c.mean(), 3.0, 1e-12);
-        let var = c.moment2() - c.mean() * c.mean();
-        assert_close(var, 0.04 + 0.09, 1e-12);
-        // LST multiplies.
-        assert_close(
-            c.lst(0.7),
-            ServiceDistribution::gaussian(1.0, 0.2).lst(0.7)
-                * ServiceDistribution::gaussian(2.0, 0.3).lst(0.7),
-            1e-12,
-        );
     }
 
     #[test]

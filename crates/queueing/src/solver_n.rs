@@ -153,8 +153,7 @@ impl MmppN {
     /// Stationary phase distribution π (left null vector of Q, normalised).
     ///
     /// # Panics
-    /// If the generator is reducible (no unique π); use
-    /// [`MmppN::try_equilibrium`] for a fallible variant.
+    /// If the generator is reducible (no unique π).
     pub fn equilibrium(&self) -> Vec<f64> {
         self.try_equilibrium()
             .expect("irreducible generator has a unique π")
@@ -163,7 +162,7 @@ impl MmppN {
     /// Stationary phase distribution π, or [`SolveError::Singular`] when the
     /// generator is reducible and the bordered system πQ = 0, πe = 1 has no
     /// unique solution.
-    pub fn try_equilibrium(&self) -> Result<Vec<f64>, SolveError> {
+    fn try_equilibrium(&self) -> Result<Vec<f64>, SolveError> {
         let n = self.phases();
         if n == 1 {
             return Ok(vec![1.0]);

@@ -36,9 +36,6 @@ pub enum PolicyRung {
 }
 
 impl PolicyRung {
-    /// The ladder, top to bottom.
-    pub const LADDER: [PolicyRung; 3] = [PolicyRung::Full, PolicyRung::Degraded, PolicyRung::IOnly];
-
     /// Position on the ladder: 0 = Full, 2 = IOnly.
     pub fn index(self) -> usize {
         match self {
@@ -301,6 +298,12 @@ impl DegradationController {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PolicyRung {
+        /// The ladder, top to bottom.
+        pub const LADDER: [PolicyRung; 3] =
+            [PolicyRung::Full, PolicyRung::Degraded, PolicyRung::IOnly];
+    }
 
     fn cfg() -> ControllerConfig {
         ControllerConfig::default()

@@ -36,5 +36,5 @@ pub mod resync;
 pub mod rto;
 
 pub use controller::{ControllerConfig, ControllerConfigError, DegradationController, PolicyRung};
-pub use resync::{decoder_outage_episodes, DesyncKind, Episode, RecoveryReport, ResyncProtocol};
+pub use resync::{DesyncKind, Episode, RecoveryReport, ResyncProtocol};
 pub use rto::{RtoConfig, RtoConfigError, RtoEstimator};

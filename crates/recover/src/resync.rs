@@ -201,45 +201,6 @@ impl ResyncProtocol {
     }
 }
 
-/// Decoder-outage episodes implied by per-frame delivery flags: a damaged
-/// I-frame (index divisible by `gop`) opens an outage that closes at the
-/// next *intact* I-frame — prediction holds the GOP hostage to its
-/// reference picture, so P-frame damage inside an otherwise-anchored GOP
-/// is local and opens nothing. Ticks are frame indices. `gop == 0` yields
-/// an empty report (no I-frame structure to resync on).
-pub fn decoder_outage_episodes(frame_ok: &[bool], gop: usize) -> RecoveryReport {
-    let mut report = RecoveryReport::default();
-    if gop == 0 {
-        return report;
-    }
-    let mut open_since: Option<u64> = None;
-    for (i, &ok) in frame_ok.iter().enumerate() {
-        if i % gop != 0 {
-            continue;
-        }
-        match (open_since, ok) {
-            (Some(start), true) => {
-                report.episodes.push(Episode {
-                    kind: DesyncKind::LostIFrame,
-                    start,
-                    end: i as u64,
-                });
-                open_since = None;
-            }
-            (None, false) => open_since = Some(i as u64),
-            _ => {}
-        }
-    }
-    if let Some(start) = open_since {
-        report.open = Some(Episode {
-            kind: DesyncKind::LostIFrame,
-            start,
-            end: frame_ok.len() as u64,
-        });
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,53 +276,5 @@ mod tests {
         let open = r.open.expect("episode still open");
         assert_eq!((open.start, open.end), (50, 60));
         assert_eq!(r.max_duration(), 10);
-    }
-
-    #[test]
-    fn outage_episodes_follow_gop_anchors() {
-        // GOP 4: I-frames at 0, 4, 8. Damaged I at 4 → outage until 8.
-        let mut ok = vec![true; 12];
-        ok[4] = false;
-        ok[6] = false; // P damage inside an anchored GOP opens nothing extra
-        let r = decoder_outage_episodes(&ok, 4);
-        assert_eq!(
-            r.episodes,
-            vec![Episode {
-                kind: DesyncKind::LostIFrame,
-                start: 4,
-                end: 8
-            }]
-        );
-        assert!(r.open.is_none());
-    }
-
-    #[test]
-    fn consecutive_lost_i_frames_extend_one_episode() {
-        let mut ok = vec![true; 16];
-        ok[4] = false;
-        ok[8] = false;
-        let r = decoder_outage_episodes(&ok, 4);
-        assert_eq!(r.episodes.len(), 1);
-        assert_eq!(r.episodes[0].duration(), 8);
-    }
-
-    #[test]
-    fn outage_running_off_the_end_is_open() {
-        let mut ok = vec![true; 10];
-        ok[8] = false;
-        let r = decoder_outage_episodes(&ok, 4);
-        assert!(r.episodes.is_empty());
-        assert_eq!(r.open.map(|e| (e.start, e.end)), Some((8, 10)));
-    }
-
-    #[test]
-    fn degenerate_inputs_yield_empty_reports() {
-        assert_eq!(decoder_outage_episodes(&[], 4), RecoveryReport::default());
-        assert_eq!(
-            decoder_outage_episodes(&[false, false], 0),
-            RecoveryReport::default()
-        );
-        let all_ok = decoder_outage_episodes(&[true; 20], 5);
-        assert!(all_ok.episodes.is_empty() && all_ok.open.is_none());
     }
 }

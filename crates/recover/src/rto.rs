@@ -175,11 +175,6 @@ impl RtoEstimator {
         self.backoff
     }
 
-    /// Smoothed RTT, if at least one sample arrived.
-    pub fn srtt_s(&self) -> Option<f64> {
-        self.srtt_s
-    }
-
     /// The retransmission timeout to wait right now, seconds. Always
     /// finite and clamped to `[min_rto_s, max_rto_s]`.
     pub fn rto_s(&self) -> f64 {
@@ -196,6 +191,13 @@ impl RtoEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RtoEstimator {
+        /// Smoothed RTT, if at least one sample arrived.
+        pub fn srtt_s(&self) -> Option<f64> {
+            self.srtt_s
+        }
+    }
 
     #[test]
     fn default_config_is_valid() {

@@ -57,7 +57,7 @@ pub struct FountainConfig {
     pub loss_prob: f64,
     /// RNG seed: policy draws use `seed` (same stream discipline as the
     /// RTP/UDP encryptor), the air uses `seed ^ 0xA1B2`, and symbol
-    /// neighbour sets derive from `seed` via `thrifty_fec::symbol_rng`.
+    /// neighbour sets derive from `seed` via the LT coder's symbol streams.
     pub seed: u64,
     /// The loss process on the air.
     pub channel: AirChannel,

@@ -408,6 +408,12 @@ impl Reassembler {
 /// model (Section 3): the receiver has it, the eavesdropper does not.
 ///
 /// Equivalent to [`run_pipeline_metered`] with a disabled registry.
+///
+/// # Panics
+///
+/// If the air channel rejects `config` (`loss_prob` outside [0, 1] or
+/// NaN, bad [`AirChannel::Burst`] parameters); [`run_pipeline_faulty`]
+/// returns that as [`PipelineError::InvalidChannel`].
 pub fn run_pipeline(frames: Vec<InputFrame>, config: PipelineConfig) -> PipelineOutcome {
     run_pipeline_metered(frames, config, &MetricsRegistry::disabled())
 }
@@ -422,6 +428,10 @@ pub fn run_pipeline(frames: Vec<InputFrame>, config: PipelineConfig) -> Pipeline
 /// [`MeteredSegmentCipher`]s on both sides of the channel. Spans are
 /// deliberately absent here: sim-time spans belong to the discrete-event
 /// side.
+///
+/// # Panics
+///
+/// As [`run_pipeline`]; [`run_pipeline_faulty`] returns the error instead.
 pub fn run_pipeline_metered(
     frames: Vec<InputFrame>,
     config: PipelineConfig,
@@ -429,7 +439,7 @@ pub fn run_pipeline_metered(
 ) -> PipelineOutcome {
     match run_pipeline_faulty(frames, config, &FaultPlan::default(), metrics) {
         Ok(outcome) => outcome,
-        Err(e) => unreachable!("fault-free pipeline run failed: {e}"),
+        Err(e) => panic!("run_pipeline rejected its config {config:?}: {e}"),
     }
 }
 
@@ -956,6 +966,12 @@ mod tests {
         assert!(out.receiver.frames_ok.len() < 60);
         // With no encryption both observers see the identical packet set.
         assert_eq!(out.receiver.frames_ok, out.eavesdropper.frames_ok);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss_prob: 1.5")]
+    fn run_pipeline_panics_on_an_invalid_loss_probability() {
+        run_pipeline(frames(3, 3), config(EncryptionMode::None, 1.5));
     }
 
     #[test]

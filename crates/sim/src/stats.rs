@@ -40,11 +40,6 @@ impl Summary {
             ci95: 1.96 * std_dev / (n as f64).sqrt(),
         }
     }
-
-    /// `(low, high)` bounds of the 95% interval.
-    pub fn interval(&self) -> (f64, f64) {
-        (self.mean - self.ci95, self.mean + self.ci95)
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -63,7 +58,6 @@ mod tests {
         assert_eq!(s.mean, 2.0);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.ci95, 0.0);
-        assert_eq!(s.interval(), (2.0, 2.0));
     }
 
     #[test]

@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of log-scale buckets.
-pub const BUCKET_COUNT: usize = 64;
+const BUCKET_COUNT: usize = 64;
 
 /// Lower bound of bucket 0, seconds (one nanosecond).
-pub const ORIGIN_S: f64 = 1e-9;
+const ORIGIN_S: f64 = 1e-9;
 
 /// Where a value lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl Histogram {
 /// and overflow tallies.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Samples below [`ORIGIN_S`] (including exact zeros).
+    /// Samples below `ORIGIN_S` (including exact zeros).
     pub underflow: u64,
     /// Samples at or above the last bucket's upper bound.
     pub overflow: u64,
@@ -136,34 +136,6 @@ impl HistogramSnapshot {
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.underflow + self.overflow + self.buckets.values().sum::<u64>()
-    }
-
-    /// Exact bounds `(low, high)` of the bucket containing the `q`-quantile
-    /// (`0 < q ≤ 1`), by cumulative rank. The underflow bucket reports
-    /// `(0, ORIGIN_S)`; the overflow bucket `(last bound, ∞)`. `None` when
-    /// the histogram is empty or `q` is out of range.
-    ///
-    /// Because bucket edges are exact powers of two, these bounds are a
-    /// guaranteed enclosure of the true quantile — not an interpolation.
-    pub fn quantile_bounds(&self, q: f64) -> Option<(f64, f64)> {
-        let total = self.count();
-        // lint:allow(num-float-eq): q == 0.0 is an exact caller-passed sentinel (the 0th quantile has no enclosing bucket)
-        if total == 0 || !(0.0..=1.0).contains(&q) || q == 0.0 {
-            return None;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = self.underflow;
-        if rank <= seen {
-            return Some((0.0, ORIGIN_S));
-        }
-        for (&i, &n) in &self.buckets {
-            seen += n;
-            if rank <= seen {
-                return Some(bucket_bounds(i));
-            }
-        }
-        let last_bound = ORIGIN_S * 2f64.powi(BUCKET_COUNT as i32);
-        Some((last_bound, f64::INFINITY))
     }
 
     /// Fold another snapshot of the same metric into this one.
@@ -222,27 +194,6 @@ mod tests {
         assert_eq!(snap.underflow, 4);
         assert_eq!(snap.overflow, 1);
         assert_eq!(snap.count(), 5);
-    }
-
-    #[test]
-    fn quantile_bounds_enclose_the_sample_quantile() {
-        let values: Vec<f64> = (1..=1000).map(|i| i as f64 * 1e-6).collect();
-        let snap = filled(&values);
-        for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-            let (lo, hi) = snap.quantile_bounds(q).expect("non-empty histogram");
-            let idx = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len()) - 1;
-            let exact = values[idx];
-            assert!(lo <= exact && exact < hi, "q={q}: {exact} not in [{lo}, {hi})");
-        }
-    }
-
-    #[test]
-    fn quantile_of_empty_or_invalid_is_none() {
-        let snap = HistogramSnapshot::default();
-        assert_eq!(snap.quantile_bounds(0.5), None);
-        let snap = filled(&[1e-3]);
-        assert_eq!(snap.quantile_bounds(0.0), None);
-        assert_eq!(snap.quantile_bounds(1.5), None);
     }
 
     #[test]

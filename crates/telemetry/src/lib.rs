@@ -62,7 +62,7 @@ pub mod span;
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use snapshot::Snapshot;
-pub use span::{SpanSnapshot, SpanTimer, Stage};
+pub use span::{SpanSnapshot, Stage};
 
 use counter::CounterCell;
 use histogram::HistogramCell;
@@ -110,11 +110,6 @@ impl MetricsRegistry {
         Self::new(false)
     }
 
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Accumulate `duration_s` (sim-time seconds) under `stage`.
     #[inline]
     pub fn record_span(&self, stage: Stage, duration_s: f64) {
@@ -122,11 +117,6 @@ impl MetricsRegistry {
             return;
         }
         self.spans[stage as usize].record(duration_s);
-    }
-
-    /// Open a span at sim-time `now_s`; close it with [`SpanTimer::end`].
-    pub fn span_at(&self, stage: Stage, now_s: f64) -> SpanTimer<'_> {
-        SpanTimer::new(self, stage, now_s)
     }
 
     /// A handle to the named counter (created on first use). On a disabled
@@ -192,7 +182,6 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let m = MetricsRegistry::disabled();
-        assert!(!m.is_enabled());
         let c = m.counter("x");
         c.add(5);
         assert_eq!(c.get(), 0);
@@ -226,17 +215,6 @@ mod tests {
         assert!((s.total_s - 0.75).abs() < 1e-15);
         assert!((s.max_s - 0.5).abs() < 1e-15);
         assert!(snap.span(Stage::Encrypt).is_none());
-    }
-
-    #[test]
-    fn span_timer_records_the_interval() {
-        let m = MetricsRegistry::enabled();
-        let t = m.span_at(Stage::Enqueue, 10.0);
-        t.end(10.125);
-        let snap = m.snapshot();
-        let s = snap.span(Stage::Enqueue).expect("enqueue span recorded");
-        assert_eq!(s.count, 1);
-        assert!((s.total_s - 0.125).abs() < 1e-15);
     }
 
     #[test]

@@ -141,30 +141,6 @@ impl SpanSnapshot {
     }
 }
 
-/// An open span: created at a sim-time instant, closed at a later one.
-#[derive(Debug)]
-pub struct SpanTimer<'r> {
-    registry: &'r crate::MetricsRegistry,
-    stage: Stage,
-    start_s: f64,
-}
-
-impl<'r> SpanTimer<'r> {
-    pub(crate) fn new(registry: &'r crate::MetricsRegistry, stage: Stage, start_s: f64) -> Self {
-        SpanTimer {
-            registry,
-            stage,
-            start_s,
-        }
-    }
-
-    /// Close the span at sim-time `now_s`, recording `now_s - start`.
-    pub fn end(self, now_s: f64) {
-        self.registry
-            .record_span(self.stage, (now_s - self.start_s).max(0.0));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

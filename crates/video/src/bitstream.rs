@@ -22,7 +22,7 @@ impl BitWriter {
     }
 
     /// Append a single bit.
-    pub fn put_bit(&mut self, bit: bool) {
+    fn put_bit(&mut self, bit: bool) {
         if self.bit_pos == 0 {
             self.bytes.push(0);
         }
@@ -37,7 +37,7 @@ impl BitWriter {
     }
 
     /// Append the low `n` bits of `value`, MSB first (H.264 `u(n)`).
-    pub fn put_bits(&mut self, value: u32, n: u8) {
+    fn put_bits(&mut self, value: u32, n: u8) {
         assert!(n <= 32, "at most 32 bits at a time");
         for i in (0..n).rev() {
             self.put_bit((value >> i) & 1 == 1);
@@ -78,15 +78,6 @@ impl BitWriter {
     /// Finish and return the bytes (unterminated bits are zero-padded).
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
     }
 }
 
@@ -326,6 +317,17 @@ impl PictureParameterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitWriter {
+        /// Bits written so far.
+        pub fn bit_len(&self) -> usize {
+            if self.bit_pos == 0 {
+                self.bytes.len() * 8
+            } else {
+                (self.bytes.len() - 1) * 8 + self.bit_pos as usize
+            }
+        }
+    }
 
     #[test]
     fn bit_roundtrip() {

@@ -49,26 +49,6 @@ impl EncodedStream {
         self.frames.iter().map(|f| f.bytes).sum()
     }
 
-    /// Number of complete or partial GOPs in the stream.
-    pub fn gop_count(&self) -> usize {
-        self.frames.len().div_ceil(self.gop_size)
-    }
-
-    /// Mean coded size of frames of the given type; `None` if there are none.
-    pub fn mean_size(&self, ftype: FrameType) -> Option<f64> {
-        let sizes: Vec<usize> = self
-            .frames
-            .iter()
-            .filter(|f| f.ftype == ftype)
-            .map(|f| f.bytes)
-            .collect();
-        if sizes.is_empty() {
-            None
-        } else {
-            Some(sizes.iter().sum::<usize>() as f64 / sizes.len() as f64)
-        }
-    }
-
     /// Stream duration in seconds.
     pub fn duration_s(&self) -> f64 {
         self.frames.len() as f64 / self.fps
@@ -137,11 +117,6 @@ impl StatisticalEncoder {
             config: EncoderConfig::for_motion(motion, gop_size),
             motion,
         }
-    }
-
-    /// Build an encoder with explicit size parameters.
-    pub fn with_config(config: EncoderConfig, motion: MotionLevel) -> Self {
-        StatisticalEncoder { config, motion }
     }
 
     /// The active configuration.
@@ -251,6 +226,28 @@ mod tests {
     use crate::scene::{SceneConfig, SceneGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl EncodedStream {
+        /// Number of complete or partial GOPs in the stream.
+        pub fn gop_count(&self) -> usize {
+            self.frames.len().div_ceil(self.gop_size)
+        }
+
+        /// Mean coded size of frames of the given type; `None` if there are none.
+        pub fn mean_size(&self, ftype: FrameType) -> Option<f64> {
+            let sizes: Vec<usize> = self
+                .frames
+                .iter()
+                .filter(|f| f.ftype == ftype)
+                .map(|f| f.bytes)
+                .collect();
+            if sizes.is_empty() {
+                None
+            } else {
+                Some(sizes.iter().sum::<usize>() as f64 / sizes.len() as f64)
+            }
+        }
+    }
 
     #[test]
     fn statistical_encoder_respects_gop_structure() {

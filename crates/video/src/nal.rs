@@ -37,7 +37,7 @@ impl NalUnitType {
     }
 
     /// Decode a 5-bit type code.
-    pub fn from_code(code: u8) -> Self {
+    fn from_code(code: u8) -> Self {
         match code & 0x1f {
             1 => NalUnitType::NonIdrSlice,
             5 => NalUnitType::IdrSlice,
@@ -45,11 +45,6 @@ impl NalUnitType {
             8 => NalUnitType::Pps,
             c => NalUnitType::Other(c),
         }
-    }
-
-    /// True for slice types that carry picture data.
-    pub fn is_slice(self) -> bool {
-        matches!(self, NalUnitType::NonIdrSlice | NalUnitType::IdrSlice)
     }
 }
 
@@ -97,7 +92,7 @@ impl NalUnit {
     }
 
     /// The header byte: forbidden_zero_bit | ref_idc | type.
-    pub fn header_byte(&self) -> u8 {
+    fn header_byte(&self) -> u8 {
         (self.ref_idc << 5) | self.unit_type.code()
     }
 }
@@ -298,7 +293,6 @@ mod tests {
                     NalUnitType::NonIdrSlice
                 }
             );
-            assert!(u.unit_type.is_slice());
         }
     }
 

@@ -28,19 +28,6 @@ pub struct VideoPacket {
     pub bytes: usize,
 }
 
-impl VideoPacket {
-    /// True if this is the first packet of its frame (carries the slice
-    /// header; the decoder model requires it, Section 4.3.1).
-    pub fn is_first_of_frame(&self) -> bool {
-        self.fragment == 0
-    }
-
-    /// True if this is the last packet of its frame.
-    pub fn is_last_of_frame(&self) -> bool {
-        self.fragment + 1 == self.fragments_total
-    }
-}
-
 /// Splits frames into MTU-sized packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packetizer {
@@ -63,7 +50,7 @@ impl Packetizer {
     }
 
     /// Number of packets an `n`-byte frame needs.
-    pub fn fragments_for(&self, bytes: usize) -> usize {
+    fn fragments_for(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.mtu_payload).max(1)
     }
 
@@ -161,6 +148,19 @@ mod tests {
     use crate::MotionLevel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl VideoPacket {
+        /// True if this is the first packet of its frame (carries the slice
+        /// header; the decoder model requires it, Section 4.3.1).
+        pub fn is_first_of_frame(&self) -> bool {
+            self.fragment == 0
+        }
+
+        /// True if this is the last packet of its frame.
+        pub fn is_last_of_frame(&self) -> bool {
+            self.fragment + 1 == self.fragments_total
+        }
+    }
 
     fn sample_stream() -> EncodedStream {
         let mut rng = StdRng::seed_from_u64(10);

@@ -6,8 +6,8 @@
 //! 1–5 class, averaged over the clip — this is why the paper reports
 //! fractional MOS values like 1.26 in Table 2).
 
+use crate::gop_position;
 use crate::yuv::{psnr_from_mse, YuvFrame};
-use crate::{gop_position, FrameType};
 
 /// Re-export of eq. (28): PSNR in dB from a mean-square error.
 pub fn psnr_db(mse: f64) -> f64 {
@@ -129,12 +129,6 @@ impl ConcealingDecoder {
         }
         out
     }
-}
-
-/// Frame type of frame `f` (IPP…P structure) — convenience for callers
-/// mapping packet losses to frame losses.
-pub fn frame_type_of(f: usize, gop_size: usize) -> FrameType {
-    crate::frame_type_at(f, gop_size)
 }
 
 /// Concealment decoder with P-frame intra-refresh.

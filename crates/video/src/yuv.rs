@@ -34,13 +34,8 @@ impl Resolution {
     }
 
     /// Each chroma plane size in bytes (quarter of luma for 4:2:0).
-    pub fn chroma_len(self) -> usize {
+    fn chroma_len(self) -> usize {
         (self.width / 2) * (self.height / 2)
-    }
-
-    /// Total frame size in bytes (Y + U + V).
-    pub fn frame_len(self) -> usize {
-        self.luma_len() + 2 * self.chroma_len()
     }
 }
 
@@ -70,12 +65,6 @@ impl YuvFrame {
             u: vec![128; resolution.chroma_len()],
             v: vec![128; resolution.chroma_len()],
         }
-    }
-
-    /// Luma sample at `(x, y)`.
-    #[inline]
-    pub fn luma(&self, x: usize, y: usize) -> u8 {
-        self.y[y * self.resolution.width + x]
     }
 
     /// Set the luma sample at `(x, y)`.
@@ -171,6 +160,13 @@ pub fn psnr_from_mse(mse: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Resolution {
+        /// Total frame size in bytes (Y + U + V).
+        pub fn frame_len(self) -> usize {
+            self.luma_len() + 2 * self.chroma_len()
+        }
+    }
 
     #[test]
     fn resolution_arithmetic() {

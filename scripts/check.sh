@@ -15,13 +15,13 @@ trap 'rm -rf "$lint_tmp"' EXIT
 ./target/release/thrifty-lint --json > "$lint_tmp/lint_b.json"
 cmp "$lint_tmp/lint_a.json" "$lint_tmp/lint_b.json"
 
-echo "==> thrifty-lint call-graph tiers (taint, dataflow, locks, hygiene; double --json run must be byte-identical)"
+echo "==> thrifty-lint call-graph and dead tiers (taint, dataflow, locks, hygiene, dead; double --json run must be byte-identical)"
 # --tier restricts the report only — the call-graph analysis always runs in
-# full — so a tier-filtered double run gates the determinism of the new
-# tiers' fixpoints (taint distances, dataflow joins, lock-order witnesses)
-# specifically.
-./target/release/thrifty-lint --json --tier taint --tier dataflow --tier locks --tier hygiene > "$lint_tmp/tiers_a.json"
-./target/release/thrifty-lint --json --tier taint --tier dataflow --tier locks --tier hygiene > "$lint_tmp/tiers_b.json"
+# full — so a tier-filtered double run gates the determinism of the
+# whole-scan tiers' fixpoints (taint distances, dataflow joins, lock-order
+# witnesses, dead-pub mention counts) specifically.
+./target/release/thrifty-lint --json --tier taint --tier dataflow --tier locks --tier hygiene --tier dead > "$lint_tmp/tiers_a.json"
+./target/release/thrifty-lint --json --tier taint --tier dataflow --tier locks --tier hygiene --tier dead > "$lint_tmp/tiers_b.json"
 cmp "$lint_tmp/tiers_a.json" "$lint_tmp/tiers_b.json"
 
 echo "==> cargo test -q"
