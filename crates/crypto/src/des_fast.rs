@@ -219,6 +219,71 @@ impl TripleDesFast {
     }
 }
 
+/// OFB chains [`TripleDesFast::ofb_xor_train`] advances side by side.
+/// One chain is latency-bound — every round waits on the last — so
+/// interleaving independent chains fills the core's idle issue slots.
+pub(crate) const TRAIN_LANES: usize = 4;
+
+impl TripleDesFast {
+    /// EDE encryption of every lane's state, round by round across lanes.
+    #[inline(always)]
+    fn ede_lanes(&self, lanes: &mut [Halves; TRAIN_LANES]) {
+        for pass in &self.keys {
+            for &k in pass {
+                for (l, r) in lanes.iter_mut() {
+                    (*l, *r) = (*r, *l ^ feistel(*r, k));
+                }
+            }
+            for (l, r) in lanes.iter_mut() {
+                (*l, *r) = (*r, *l);
+            }
+        }
+    }
+
+    /// XOR the OFB keystreams of a packet train in place: segment `k` as
+    /// by [`ofb_xor_segment`](Self::ofb_xor_segment) with `seqs[k]`.
+    /// [`TRAIN_LANES`] chains run in lock-step; a lane that finishes its
+    /// segment takes the train's next one, so ragged lengths leave lanes
+    /// idle only at the tail.
+    pub(crate) fn ofb_xor_train(&self, seqs: &[u64], segments: &mut [&mut [u8]]) {
+        let mut queue = seqs
+            .iter()
+            .zip(segments.iter_mut())
+            .filter(|(_, data)| !data.is_empty());
+        let mut states = [(0, 0); TRAIN_LANES];
+        // Each lane's segment blocks still to XOR (the last may be short).
+        let mut lanes: [Option<std::slice::ChunksMut<u8>>; TRAIN_LANES] = Default::default();
+        loop {
+            for (state, lane) in states.iter_mut().zip(&mut lanes) {
+                if lane.is_none() {
+                    if let Some((&seq, data)) = queue.next() {
+                        // The segment's IV, as one chain would start it.
+                        *state = self.ede(ip(seq));
+                        *lane = Some(data.chunks_mut(8));
+                    }
+                }
+            }
+            if lanes.iter().all(Option::is_none) {
+                return;
+            }
+            self.ede_lanes(&mut states);
+            for (state, lane) in states.iter().zip(&mut lanes) {
+                let Some(blocks) = lane else {
+                    continue;
+                };
+                if let Some(block) = blocks.next() {
+                    for (d, k) in block.iter_mut().zip(fp(*state).to_be_bytes()) {
+                        *d ^= k;
+                    }
+                }
+                if blocks.len() == 0 {
+                    *lane = None;
+                }
+            }
+        }
+    }
+}
+
 impl BlockCipher for TripleDesFast {
     fn block_size(&self) -> usize {
         8

@@ -171,7 +171,8 @@ impl std::error::Error for CryptoError {}
 /// * [`Fast`](CipherBackend::Fast) — the table-driven implementations in
 ///   [`aes_fast`] (T-tables) and [`des_fast`] (fused SP tables; OFB runs
 ///   in DES's permuted domain: one IP per segment, one IP⁻¹ per keystream
-///   block). The default for every caller that moves real traffic.
+///   block; a train's OFB chains run interleaved). The default for every
+///   caller that moves real traffic.
 /// * [`Bitsliced`](CipherBackend::Bitsliced) — the constant-time 64-lane
 ///   AES core in [`aes_bitsliced`]: no table lookups, so no cache-timing
 ///   leak, and the highest throughput of the three on batched packet
@@ -356,7 +357,9 @@ impl SegmentCipher {
     /// hot path: the per-segment IV blocks are derived in one batched
     /// encryption and up to [`aes_bitsliced::LANES`] OFB chains then run in
     /// lock-step, so a train costs barely more than one segment of serial
-    /// work per 16 bytes of the longest segment. Other backends loop over
+    /// work per 16 bytes of the longest segment. Fast 3DES (also what
+    /// `Bitsliced` selects for 3DES) interleaves its segments' OFB chains a
+    /// few at a time, round by round. The other backends loop over
     /// [`encrypt_segment`](Self::encrypt_segment).
     ///
     /// # Panics
@@ -382,6 +385,7 @@ impl SegmentCipher {
                 bs.encrypt_blocks(&mut ivs);
                 bs.ofb_xor_train(&ivs, segments);
             }
+            Inner::FastTripleDes(c) => c.ofb_xor_train(seqs, segments),
             _ => {
                 for (&seq, seg) in seqs.iter().zip(segments.iter_mut()) {
                     self.encrypt_segment(seq, seg);
@@ -634,6 +638,46 @@ mod tests {
                     cipher.decrypt_train(&seqs, &mut views);
                 }
                 assert_eq!(batched, originals, "{alg}/{backend}: train roundtrip failed");
+            }
+        }
+    }
+
+    #[test]
+    fn tdes_lane_tails_match_reference_segments() {
+        // The fast 3DES train kernel runs `TRAIN_LANES` chains in
+        // lock-step and refills a lane as its segment ends: every train
+        // length from empty to past two full lane sets, with ragged and
+        // empty segments, must equal the reference backend's per-segment
+        // OFB — across the u16 sequence wrap the pipeline feeds it.
+        let key: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(53).wrapping_add(11)).collect();
+        let fast = SegmentCipher::with_backend(Algorithm::TripleDes, &key, CipherBackend::Fast)
+            .unwrap();
+        let reference =
+            SegmentCipher::with_backend(Algorithm::TripleDes, &key, CipherBackend::Reference)
+                .unwrap();
+        let lens = [0usize, 1, 7, 8, 9, 1399, 1452];
+        for n in 0..=2 * des_fast::TRAIN_LANES + 2 {
+            for rotation in 0..lens.len() {
+                let seqs: Vec<u64> = (0..n as u16)
+                    .map(|i| u64::from(65533u16.wrapping_add(i)))
+                    .collect();
+                let originals: Vec<Vec<u8>> = (0..n)
+                    .map(|i| {
+                        let len = lens[(i + rotation) % lens.len()];
+                        (0..len).map(|j| (i * 7 + j * 13) as u8).collect()
+                    })
+                    .collect();
+                let mut train = originals.clone();
+                let mut views: Vec<&mut [u8]> = train.iter_mut().map(Vec::as_mut_slice).collect();
+                fast.encrypt_train(&seqs, &mut views);
+                for (i, (original, got)) in originals.iter().zip(&train).enumerate() {
+                    let mut expected = original.clone();
+                    reference.encrypt_segment(seqs[i], &mut expected);
+                    assert_eq!(
+                        got, &expected,
+                        "train of {n} (rotation {rotation}): segment {i} diverged"
+                    );
+                }
             }
         }
     }

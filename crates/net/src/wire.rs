@@ -196,13 +196,6 @@ impl<T: AsRef<[u8]>> RtpPacket<T> {
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> RtpPacket<T> {
-    /// Mutable access to the payload (used for in-place decryption).
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[RTP_HEADER_LEN..]
-    }
-}
-
 /// Decoded UDP header (RFC 768).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
@@ -475,16 +468,6 @@ mod tests {
             // The marker must not disturb the payload type.
             assert_eq!(pkt.header().payload_type, 96);
         }
-    }
-
-    #[test]
-    fn payload_mut_allows_inplace_decryption() {
-        let mut wire = header().emit(&[0xFF; 8]);
-        let mut pkt = RtpPacket::parse(wire.as_mut_slice()).expect("packet with 8-byte payload must parse");
-        for b in pkt.payload_mut() {
-            *b ^= 0xFF;
-        }
-        assert_eq!(pkt.payload(), &[0u8; 8]);
     }
 
     #[test]

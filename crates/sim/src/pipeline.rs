@@ -7,11 +7,15 @@
 //! segments, encrypt the segments selected by the policy with the real
 //! cipher (OFB per segment, exactly like the paper's GPAC-based app) and set
 //! the RTP **marker bit** on encrypted packets — and the **air**: loss, then
-//! the plan's in-flight faults. Each delivered packet crosses one
-//! `std::sync::mpsc` channel to the calling thread, which hands it by
-//! reference to the **eavesdropper** and then to the **receiver**. Each
-//! observer owns its fragment store (a `Reassembler`); the receiver decrypts
-//! marked packets in place, the eavesdropper must treat them as erasures.
+//! the plan's in-flight faults. The survivors of each frame's packet train
+//! cross one `std::sync::mpsc` channel to the calling thread as one batch,
+//! which it hands by reference to the **eavesdropper** and then to the
+//! **receiver**. Each observer owns its fragment store (a `Reassembler`);
+//! the receiver decrypts a batch's marked packets in place as one
+//! keystream train, the eavesdropper must treat them as erasures. After the
+//! join each store checks its complete frames in place against the bytes
+//! the sender wrote ([`annex_b_matches`]) and parses only those that
+//! differ.
 //!
 //! ## Why two threads
 //!
@@ -19,11 +23,13 @@
 //! behaviour. It buys time: the receiver's decryption runs beside the
 //! sender's encryption, the one overlap that pays — most visibly under
 //! 3DES, whose I-frame-only policy spends most of a run in the cipher on
-//! both sides. Even on the permuted-domain 3DES core, the perfbench
-//! `thrifty_udp` op (5000 frames, I-frames under 3DES) spends ≈110 ms in
-//! 3DES on *each* side on a 2-vCPU x86-64 VM, so one thread would put
-//! ≈110 ms of decryption back in series. Every stage draws from its own
-//! seeded stream, so the split changes no draw.
+//! both sides. Even with each I-frame's segments run as one
+//! lane-interleaved 3DES train, the perfbench `thrifty_udp` op (5000
+//! frames, I-frames under 3DES) spends ≈100 ms in 3DES on *each* side on a
+//! 2-vCPU x86-64 VM, so one thread would put ≈100 ms of decryption back in
+//! series. Every stage draws from its own seeded stream, and the receiver
+//! reads each batch in arrival order before decrypting it, so neither the
+//! split nor the batching changes a draw.
 //!
 //! ## Zero-copy packet path
 //!
@@ -33,8 +39,9 @@
 //! ([`MeteredSegmentCipher::encrypt_train`](thrifty_crypto::MeteredSegmentCipher::encrypt_train),
 //! byte-identical to per-segment OFB), stamped with its RTP header via
 //! [`RtpHeader::write_into`], and sent down the channel as the *same
-//! allocation*. The receiver decrypts it in place; each observer copies
-//! only the fragment body it stores.
+//! allocation*, batched with the rest of its train. The receiver decrypts
+//! the batch in place as one train; each observer copies only the fragment
+//! body it stores.
 //!
 //! Fragments are carried behind a small fragmentation header
 //! ([`FragmentHeader`]: frame index, fragment number, fragment count)
@@ -66,7 +73,7 @@ use thrifty_net::{BernoulliChannel, ChannelError, GilbertElliottChannel, LossCha
 use thrifty_recover::{DesyncKind, RecoveryReport, ResyncProtocol};
 use thrifty_telemetry::{Counter, MetricsRegistry};
 use thrifty_video::bitstream::{PictureParameterSet, SequenceParameterSet};
-use thrifty_video::nal::{parse_annex_b, write_annex_b, NalUnit, NalUnitType};
+use thrifty_video::nal::{annex_b_matches, parse_annex_b, write_annex_b, NalUnit, NalUnitType};
 use thrifty_video::FrameType;
 
 /// Loss process applied on the air.
@@ -363,28 +370,38 @@ impl Reassembler {
     /// The stored fragments of `frame`, concatenated in fragment order.
     fn annex_b(&self, frame: usize) -> Option<Vec<u8>> {
         let frags = self.fragments.get(&frame)?;
-        Some(frags.values().flatten().copied().collect())
+        let mut annex_b = Vec::with_capacity(frags.values().map(Vec::len).sum());
+        for frag in frags.values() {
+            annex_b.extend_from_slice(frag);
+        }
+        Some(annex_b)
     }
 
     /// Which of `frames` arrived complete and parse back to their original
     /// NAL payload byte for byte, in frame-index order.
+    ///
+    /// A frame whose fragments spell exactly what the sender wrote is
+    /// settled in place by [`annex_b_matches`]; only the rest are
+    /// concatenated and parsed, which gives the same verdict for every
+    /// stream the writer did not emit (a 3-byte start code, a changed
+    /// header byte) that still carries the payload.
     pub(crate) fn reconstruct(&self, frames: &[InputFrame]) -> Reconstruction {
-        let originals: BTreeMap<usize, &[u8]> = frames
-            .iter()
-            .map(|f| (f.index, f.nal.payload.as_slice()))
-            .collect();
+        let originals: BTreeMap<usize, &NalUnit> =
+            frames.iter().map(|f| (f.index, &f.nal)).collect();
         let mut rec = Reconstruction::default();
         for (frame, original) in originals {
-            let complete = self.totals.get(&frame).is_some_and(|&total| {
+            let complete = self.totals.get(&frame).and_then(|&total| {
                 self.fragments
                     .get(&frame)
-                    .is_some_and(|frags| frags.len() == usize::from(total))
+                    .filter(|frags| frags.len() == usize::from(total))
             });
-            let intact = complete
-                && self.annex_b(frame).is_some_and(|annex_b| {
-                    let units = parse_annex_b(&annex_b);
-                    matches!(units.as_deref(), Ok([unit]) if unit.payload == original)
-                });
+            let intact = complete.is_some_and(|frags| {
+                annex_b_matches(original, frags.values().map(Vec::as_slice))
+                    || self.annex_b(frame).is_some_and(|annex_b| {
+                        let units = parse_annex_b(&annex_b);
+                        matches!(units.as_deref(), Ok([unit]) if unit.payload == original.payload)
+                    })
+            });
             if intact {
                 rec.frames_ok.push(frame);
             } else {
@@ -510,15 +527,17 @@ pub fn run_pipeline_faulty(
     let mut receiver = Observer::new(metrics.counter("pipeline.erasures.receiver"));
     let mut eavesdropper = Observer::new(metrics.counter("pipeline.erasures.eavesdropper"));
 
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
+    let (tx, rx) = mpsc::channel::<Vec<Vec<u8>>>();
     let frames = frames.as_slice();
     let sent = std::thread::scope(|scope| {
         let sender = scope.spawn(move || sender.run(frames, &tx));
-        for mut packet in rx {
+        for mut batch in rx {
             // The eavesdropper hears the wire bytes before the receiver
             // decrypts them in place.
-            eavesdropper.hear(&mut packet, None);
-            receiver.hear(&mut packet, Some(&mut decryptor));
+            for packet in &batch {
+                eavesdropper.hear(packet);
+            }
+            receiver.receive(&mut batch, &mut decryptor);
         }
         sender.join()
     })
@@ -570,7 +589,7 @@ struct Sender {
 impl Sender {
     /// Run the stream, then report. The observers hang up only if the
     /// calling thread died, and then nobody is left to hear the rest.
-    fn run(mut self, frames: &[InputFrame], tx: &mpsc::Sender<Vec<u8>>) -> SenderReport {
+    fn run(mut self, frames: &[InputFrame], tx: &mpsc::Sender<Vec<Vec<u8>>>) -> SenderReport {
         let mut dropped = Vec::new();
         let _hung_up = self.send(frames, tx, &mut dropped);
         let mut faults = self.queue.stats();
@@ -588,9 +607,9 @@ impl Sender {
     fn send(
         &mut self,
         frames: &[InputFrame],
-        tx: &mpsc::Sender<Vec<u8>>,
+        tx: &mpsc::Sender<Vec<Vec<u8>>>,
         dropped: &mut Vec<usize>,
-    ) -> Result<(), mpsc::SendError<Vec<u8>>> {
+    ) -> Result<(), mpsc::SendError<Vec<Vec<u8>>>> {
         let lead_in = self.encryptor.lead_in();
         self.air.carry(lead_in, tx)?;
         for frame in frames {
@@ -604,11 +623,9 @@ impl Sender {
             let train = self.encryptor.encrypt_frame(frame);
             self.air.carry(train, tx)?;
         }
-        for survivor in self.air.injector.drain() {
-            self.air.delivered.inc();
-            tx.send(survivor)?;
-        }
-        Ok(())
+        let drained = self.air.injector.drain();
+        self.air.delivered.add(drained.len() as u64);
+        tx.send(drained)
     }
 }
 
@@ -693,8 +710,8 @@ impl Encryptor {
             // OFB per segment, keyed by the global sequence number — the
             // receiver recovers the IV from the RTP header. The whole
             // frame's fragments go through the cipher as one batched train
-            // (byte-identical to per-segment OFB; the bitsliced backend
-            // runs the lanes in parallel).
+            // (byte-identical to per-segment OFB; the bitsliced AES and
+            // fast 3DES kernels run its chains in lock-step).
             let seqs: Vec<u64> = (0..total).map(|i| u64::from(seq0.wrapping_add(i))).collect();
             let mut bodies: Vec<&mut [u8]> = train
                 .iter_mut()
@@ -735,12 +752,14 @@ struct Air {
 }
 
 impl Air {
-    /// Put a train on the air and pass the survivors to the observers.
+    /// Put a train on the air and pass its survivors to the observers as
+    /// one batch, in arrival order.
     fn carry(
         &mut self,
         train: Vec<Vec<u8>>,
-        tx: &mpsc::Sender<Vec<u8>>,
-    ) -> Result<(), mpsc::SendError<Vec<u8>>> {
+        tx: &mpsc::Sender<Vec<Vec<u8>>>,
+    ) -> Result<(), mpsc::SendError<Vec<Vec<u8>>>> {
+        let mut survivors = Vec::with_capacity(train.len());
         for pkt in train {
             let lost = match &mut self.loss {
                 // The historical i.i.d. draw — no draw at all on a
@@ -755,10 +774,10 @@ impl Air {
             }
             for survivor in self.injector.on_packet(pkt) {
                 self.delivered.inc();
-                tx.send(survivor)?;
+                survivors.push(survivor);
             }
         }
-        Ok(())
+        tx.send(survivors)
     }
 }
 
@@ -798,12 +817,13 @@ impl Decryptor {
         }
     }
 
-    /// Decrypt one marked fragment body in place.
-    fn decrypt(&mut self, sequence: u16, body: &mut [u8]) {
+    /// Whether the next marked packet decrypts under the out-of-date key:
+    /// the plan's stale-key draw, then the resync protocol's verdict.
+    fn stale_key(&mut self) -> bool {
         // Always drawn, so arming recovery never shifts the site's seeded
         // stream.
         let hit = self.faults.stale_hit();
-        let use_stale = match &mut self.resync {
+        match &mut self.resync {
             None => hit,
             Some(rs) => {
                 if hit {
@@ -813,15 +833,21 @@ impl Decryptor {
                 // *every* marked packet until the handshake completes.
                 rs.protocol.is_resyncing() && !rs.protocol.key_is_fresh(rs.tick)
             }
-        };
-        if use_stale {
-            // Out-of-date key: decryption "succeeds" but produces garbage,
-            // which the Annex-B reassembly rejects downstream.
-            self.stale_cipher.decrypt_segment(u64::from(sequence), body);
-        } else {
-            self.cipher.decrypt_segment(u64::from(sequence), body);
         }
     }
+}
+
+/// What the receiver makes of one delivered packet before decrypting.
+#[derive(Clone, Copy)]
+enum Arrival {
+    /// An erasure: nothing of it is stored.
+    Erased,
+    /// A clear packet, stored as heard.
+    Clear,
+    /// A marked packet under the session key, with its RTP sequence number.
+    Fresh(u16),
+    /// A marked packet under the out-of-date key (garbage once decrypted).
+    Stale(u16),
 }
 
 /// One observer of the air: the receiver or the eavesdropper. Everything a
@@ -842,35 +868,89 @@ impl Observer {
         }
     }
 
-    /// Take in one delivered packet. The receiver, which holds the
-    /// session's `decryptor`, decrypts `wire` in place; the eavesdropper,
-    /// without one, erases every marked packet.
-    fn hear(&mut self, wire: &mut [u8], mut decryptor: Option<&mut Decryptor>) {
-        let Ok(mut pkt) = RtpPacket::parse(wire) else {
+    /// The eavesdropper's ear: store each clear packet as heard. Without
+    /// the session key every marked packet is an erasure.
+    fn hear(&mut self, wire: &[u8]) {
+        let Ok(pkt) = RtpPacket::parse(wire) else {
             self.erasures.rtp_malformed += 1;
             self.erasure_counter.inc();
             return;
         };
-        let header = pkt.header();
-        if let Some(ctx) = decryptor.as_deref_mut() {
-            ctx.tick(pkt.payload());
+        if pkt.header().marker {
+            // Every marked packet is an erasure by construction of the
+            // threat model.
+            self.erasures.marked_undecryptable += 1;
+            return;
         }
-        if header.marker {
-            let Some(ctx) = decryptor else {
-                // Eavesdropper: every marked packet is an erasure by
-                // construction of the threat model.
-                self.erasures.marked_undecryptable += 1;
-                return;
-            };
-            let Some(body) = pkt.payload_mut().get_mut(FRAG_HEADER_LEN..) else {
-                // Too short to carry a fragment at all.
-                self.erasures.frag_malformed += 1;
-                self.erasure_counter.inc();
-                return;
-            };
-            ctx.decrypt(header.sequence, body);
+        self.store_fragment(pkt.payload());
+    }
+
+    /// The receiver's ear: take in one delivered batch with the session's
+    /// `decryptor`. Packets are first read in arrival order — parse, tick
+    /// the resync clock, draw the stale-key site — exactly as one by one;
+    /// then every fresh marked body is decrypted in place as one keystream
+    /// train and every stale one under the out-of-date key; then each
+    /// packet is stored in arrival order.
+    fn receive(&mut self, batch: &mut [Vec<u8>], decryptor: &mut Decryptor) {
+        let arrivals: Vec<Arrival> = batch
+            .iter()
+            .map(|wire| {
+                let Ok(pkt) = RtpPacket::parse(wire.as_slice()) else {
+                    self.erasures.rtp_malformed += 1;
+                    self.erasure_counter.inc();
+                    return Arrival::Erased;
+                };
+                let header = pkt.header();
+                decryptor.tick(pkt.payload());
+                if !header.marker {
+                    Arrival::Clear
+                } else if pkt.payload().len() < FRAG_HEADER_LEN {
+                    // Too short to carry a fragment at all.
+                    self.erasures.frag_malformed += 1;
+                    self.erasure_counter.inc();
+                    Arrival::Erased
+                } else if decryptor.stale_key() {
+                    Arrival::Stale(header.sequence)
+                } else {
+                    Arrival::Fresh(header.sequence)
+                }
+            })
+            .collect();
+        let mut seqs = Vec::with_capacity(batch.len());
+        let mut bodies = Vec::with_capacity(batch.len());
+        for (wire, &arrival) in batch.iter_mut().zip(&arrivals) {
+            let body = wire.get_mut(RTP_HEADER_LEN + FRAG_HEADER_LEN..);
+            match (arrival, body) {
+                (Arrival::Fresh(sequence), Some(body)) => {
+                    seqs.push(u64::from(sequence));
+                    bodies.push(body);
+                }
+                // Out-of-date key: decryption "succeeds" but produces
+                // garbage, which the Annex-B reassembly rejects downstream.
+                (Arrival::Stale(sequence), Some(body)) => {
+                    decryptor
+                        .stale_cipher
+                        .decrypt_segment(u64::from(sequence), body);
+                }
+                _ => {}
+            }
         }
-        if self.store.insert(pkt.payload()).is_err() {
+        if !bodies.is_empty() {
+            decryptor.cipher.decrypt_train(&seqs, &mut bodies);
+        }
+        for (wire, arrival) in batch.iter().zip(arrivals) {
+            if matches!(arrival, Arrival::Erased) {
+                continue;
+            }
+            if let Some(payload) = wire.get(RTP_HEADER_LEN..) {
+                self.store_fragment(payload);
+            }
+        }
+    }
+
+    /// Store one fragment payload; a malformed one is an erasure.
+    fn store_fragment(&mut self, payload: &[u8]) {
+        if self.store.insert(payload).is_err() {
             self.erasures.frag_malformed += 1;
             self.erasure_counter.inc();
         }

@@ -130,46 +130,93 @@ impl std::fmt::Display for NalError {
 
 impl std::error::Error for NalError {}
 
-/// Escape a raw payload into EBSP: insert 0x03 after any `00 00` that would
-/// otherwise be followed by `00`, `01`, `02` or `03`.
-fn escape_into(payload: &[u8], out: &mut Vec<u8>) {
-    let mut zeros = 0usize;
-    for &b in payload {
-        if zeros >= 2 && b <= 0x03 {
-            out.push(0x03);
-            zeros = 0;
+/// The emulation-prevention byte.
+const EPB: u8 = 0x03;
+
+/// The EBSP escaping rule, walked over a raw payload byte by byte: an
+/// [`EPB`] goes before any byte ≤ `0x03` that follows `00 00`, the zero
+/// count restarting behind each inserted byte, so no start code can appear
+/// inside a unit.
+#[derive(Default)]
+struct Escaper {
+    zeros: u8,
+}
+
+impl Escaper {
+    /// Whether an emulation-prevention byte goes before the next payload
+    /// byte `b`; steps past `b`.
+    #[inline(always)]
+    fn epb_before(&mut self, b: u8) -> bool {
+        let epb = self.zeros >= 2 && b <= EPB;
+        if epb {
+            self.zeros = 0;
         }
-        out.push(b);
-        if b == 0 {
-            zeros += 1;
-        } else {
-            zeros = 0;
-        }
+        self.zeros = if b == 0 { self.zeros + 1 } else { 0 };
+        epb
     }
 }
 
-/// Remove emulation-prevention bytes from an EBSP payload.
+/// Escape a raw payload into EBSP, one copy per run between
+/// emulation-prevention bytes.
+fn escape_into(payload: &[u8], out: &mut Vec<u8>) {
+    let mut escaper = Escaper::default();
+    let mut run = 0;
+    for (i, &b) in payload.iter().enumerate() {
+        if escaper.epb_before(b) {
+            out.extend_from_slice(&payload[run..i]);
+            out.push(EPB);
+            run = i;
+        }
+    }
+    out.extend_from_slice(&payload[run..]);
+}
+
+/// Remove emulation-prevention bytes from an EBSP payload, one copy per
+/// run between them.
 fn unescape(ebsp: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ebsp.len());
     let mut zeros = 0usize;
-    let mut i = 0;
-    while i < ebsp.len() {
-        let b = ebsp[i];
-        if zeros >= 2 && b == 0x03 && i + 1 < ebsp.len() && ebsp[i + 1] <= 0x03 {
-            // emulation prevention byte: skip it
+    let mut start = 0;
+    for (i, &b) in ebsp.iter().enumerate() {
+        if zeros >= 2 && b == EPB && ebsp.get(i + 1).is_some_and(|&next| next <= EPB) {
+            // Emulation-prevention byte: copy the run before it, skip it.
+            out.extend_from_slice(&ebsp[start..i]);
+            start = i + 1;
             zeros = 0;
-            i += 1;
             continue;
         }
-        out.push(b);
-        if b == 0 {
-            zeros += 1;
-        } else {
-            zeros = 0;
-        }
-        i += 1;
+        zeros = if b == 0 { zeros + 1 } else { 0 };
     }
+    out.extend_from_slice(&ebsp[start..]);
     out
+}
+
+/// Whether `fragments`, read in order as one stream, are byte for byte
+/// `write_annex_b([unit])` — a stream that [`parse_annex_b`] reads back as
+/// exactly one unit carrying `unit.payload`.
+///
+/// The comparison runs in place: the expected bytes are escaped on the
+/// fly, nothing is concatenated or allocated, and no byte is emitted.
+/// `false` means only that the stream is not the writer's; it may still
+/// parse to the same payload (a 3-byte start code, a different header
+/// byte), which only a parse can tell. So `false` is also returned for
+/// the writer outputs that do not parse back: a header byte with the
+/// forbidden bit set (a `ref_idc` above 3), and a zero header byte before
+/// a payload opening `00 01`, which spells a second start code.
+pub fn annex_b_matches<'a>(unit: &NalUnit, fragments: impl IntoIterator<Item = &'a [u8]>) -> bool {
+    let header = unit.header_byte();
+    if header & 0x80 != 0 || (header == 0 && unit.payload.starts_with(&[0, 1])) {
+        return false;
+    }
+    let mut stream = fragments.into_iter().flatten().copied();
+    let mut escaper = Escaper::default();
+    [0, 0, 0, 1, header]
+        .into_iter()
+        .all(|b| stream.next() == Some(b))
+        && unit.payload.iter().all(|&b| {
+            (!escaper.epb_before(b) || stream.next() == Some(EPB)) && stream.next() == Some(b)
+        })
+        && stream.next().is_none()
 }
 
 /// Serialise NAL units as an Annex-B byte stream (4-byte start codes).
@@ -351,6 +398,101 @@ mod tests {
         let stream = write_annex_b(std::slice::from_ref(&unit));
         let parsed = parse_annex_b(&stream).expect("empty-payload unit must round-trip");
         assert_eq!(parsed, vec![unit]);
+    }
+
+    /// The byte-at-a-time escaper and unescaper the run-copying ones
+    /// replaced, kept as their specification.
+    fn escape_bytewise(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut zeros = 0usize;
+        for &b in payload {
+            if zeros >= 2 && b <= 0x03 {
+                out.push(0x03);
+                zeros = 0;
+            }
+            out.push(b);
+            zeros = if b == 0 { zeros + 1 } else { 0 };
+        }
+        out
+    }
+
+    fn unescape_bytewise(ebsp: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut zeros = 0usize;
+        let mut i = 0;
+        while i < ebsp.len() {
+            let b = ebsp[i];
+            i += 1;
+            if zeros >= 2 && b == 0x03 && i < ebsp.len() && ebsp[i] <= 0x03 {
+                zeros = 0;
+                continue;
+            }
+            out.push(b);
+            zeros = if b == 0 { zeros + 1 } else { 0 };
+        }
+        out
+    }
+
+    #[test]
+    fn escaping_matches_the_bytewise_specification() {
+        // Every sequence of up to 8 bytes over an alphabet that hits each
+        // branch of both rules (zeros, start-code bytes, the EPB itself and
+        // a byte above it), then sequences past one eight-byte word over
+        // zeros, the EPB and a byte above it, which carry every zero count
+        // across the word boundary.
+        let short =
+            (0..=8u32).flat_map(|len| (0..4usize.pow(len)).map(move |code| (len, code, 4usize)));
+        let long = (9..=12u32).flat_map(|len| (0..3usize.pow(len)).map(move |code| (len, code, 3)));
+        for (len, code, radix) in short.chain(long) {
+            let alphabet: &[u8] = if radix == 4 {
+                &[0, 1, 3, 4]
+            } else {
+                &[0, 3, 4]
+            };
+            let bytes: Vec<u8> = (0..len)
+                .map(|k| alphabet[code / radix.pow(k) % radix])
+                .collect();
+            let mut escaped = Vec::new();
+            escape_into(&bytes, &mut escaped);
+            assert_eq!(escaped, escape_bytewise(&bytes), "escape {bytes:?}");
+            assert_eq!(
+                unescape(&bytes),
+                unescape_bytewise(&bytes),
+                "unescape {bytes:?}"
+            );
+            assert_eq!(unescape(&escaped), bytes, "round trip {bytes:?}");
+        }
+    }
+
+    #[test]
+    fn annex_b_matches_only_the_writers_stream() {
+        let unit = NalUnit::synthetic_slice(3, true, 4000);
+        let stream = write_annex_b(std::slice::from_ref(&unit));
+        // Any fragmentation of the written stream matches, empty
+        // fragments included.
+        assert!(annex_b_matches(&unit, [stream.as_slice()]));
+        let (a, b) = stream.split_at(1452);
+        assert!(annex_b_matches(&unit, [a, &[][..], b]));
+        // A missing byte, an extra byte and a flipped byte do not.
+        assert!(!annex_b_matches(&unit, [a, &b[1..]]));
+        assert!(!annex_b_matches(&unit, [a, b, &[0][..]]));
+        let mut flipped = stream.clone();
+        flipped[2000] ^= 1;
+        assert!(!annex_b_matches(&unit, [flipped.as_slice()]));
+        // A 3-byte start code carries the same payload but is not the
+        // writer's stream: the check declines and leaves it to a parse.
+        assert!(!annex_b_matches(&unit, [&stream[1..]]));
+        assert_eq!(parse_annex_b(&stream[1..]).unwrap(), vec![unit]);
+    }
+
+    #[test]
+    fn annex_b_matches_declines_a_stream_that_does_not_parse_back() {
+        // A zero header byte before a payload opening `00 01` spells a
+        // second start code, so the writer's own stream parses as damage.
+        let unit = NalUnit::new(0, NalUnitType::Other(0), vec![0, 1, 0xAA]);
+        let stream = write_annex_b(std::slice::from_ref(&unit));
+        assert!(parse_annex_b(&stream).is_err());
+        assert!(!annex_b_matches(&unit, [stream.as_slice()]));
     }
 
     #[test]

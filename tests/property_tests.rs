@@ -189,6 +189,71 @@ proptest! {
         prop_assert_eq!(parsed, units);
     }
 
+    /// The in-place Annex-B check never changes a reassembly verdict:
+    /// over arbitrary payloads, header bytes and fragment splits, with or
+    /// without a mutation of the written stream, `annex_b_matches ||
+    /// parse-and-compare` says "intact" exactly when parse-and-compare
+    /// alone does — and on an unmutated stream the check itself settles
+    /// it whenever the writer's stream parses back.
+    #[test]
+    fn annex_b_check_agrees_with_parse_and_compare(
+        payload in proptest::collection::vec(
+            prop_oneof![Just(0u8), Just(1u8), Just(3u8), any::<u8>()],
+            0..300,
+        ),
+        ref_idc in 0u8..4,
+        code in prop_oneof![Just(0u8), Just(1u8), Just(5u8), 0u8..32],
+        splits in proptest::collection::vec(0usize..400, 0..6),
+        mutation in 0usize..9,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let unit = NalUnit::new(ref_idc, NalUnitType::Other(code), payload);
+        let mut stream = write_annex_b(std::slice::from_ref(&unit));
+        let body = 5..stream.len();
+        match mutation {
+            1 => stream[4] ^= flip,
+            2 if !body.is_empty() => stream[body.start + at % body.len()] ^= flip,
+            3 => {
+                let epbs: Vec<usize> = body.filter(|&i| stream[i] == 3).collect();
+                if !epbs.is_empty() {
+                    stream.remove(epbs[at % epbs.len()]);
+                }
+            }
+            4 => stream.insert(5 + at % (stream.len() - 4), 3),
+            5 => {
+                stream.remove(0);
+            }
+            6 => stream.extend(std::iter::repeat_n(0, 1 + at % 3)),
+            _ => {}
+        }
+        let mut cuts: Vec<usize> = splits.iter().map(|&c| c.min(stream.len())).collect();
+        cuts.sort_unstable();
+        let mut fragments: Vec<&[u8]> = Vec::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([stream.len()]) {
+            fragments.push(&stream[from..cut]);
+            from = cut;
+        }
+        let extra = [3u8, 0, 1];
+        match mutation {
+            7 => {
+                fragments.remove(at % fragments.len());
+            }
+            8 => fragments.insert(at % (fragments.len() + 1), &extra[..1 + at % 3]),
+            _ => {}
+        }
+        let parses_back = matches!(
+            parse_annex_b(&fragments.concat()).as_deref(),
+            Ok([parsed]) if parsed.payload == unit.payload
+        );
+        let matches = thrifty::video::nal::annex_b_matches(&unit, fragments.iter().copied());
+        prop_assert_eq!(matches || parses_back, parses_back);
+        if mutation == 0 && parses_back {
+            prop_assert!(matches, "an unmutated stream that parses back must match");
+        }
+    }
+
     /// RTP header fields survive the wire for all field values.
     #[test]
     fn rtp_roundtrips(
