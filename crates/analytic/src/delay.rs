@@ -11,11 +11,13 @@
 //!   channel's `(p_s, λ_b)`.
 //! * `T_t` — the transmission-time mixture of eqs. (16)/(18).
 //!
-//! The resulting [`ServiceDistribution`] feeds the 2-MMPP/G/1 solver
-//! (Section 4.2.3 / eq. 19) to produce the expected per-packet delay.
+//! The resulting [`ServiceDistribution`] and the scenario's 2-MMPP feed the
+//! MMPP/G/1 solver (Section 4.2.3 / eq. 19) to produce the expected
+//! per-packet delay.
 
 use crate::params::ScenarioParams;
 use crate::policy::Policy;
+use thrifty_queueing::inversion::WaitDistribution;
 use thrifty_queueing::service::{ServiceComponent, ServiceDistribution};
 use thrifty_queueing::solver::{MmppG1, SolveError};
 use thrifty_video::FrameType;
@@ -105,11 +107,9 @@ impl<'a> DelayModel<'a> {
         policy: Policy,
         levels: &[f64],
     ) -> Result<Vec<f64>, SolveError> {
-        let service = self.service_distribution(policy);
-        let queue = MmppG1::new(self.params.mmpp, service.clone());
+        let queue = MmppG1::new(self.params.mmpp.into(), self.service_distribution(policy));
         let solution = queue.solve()?;
-        let dist =
-            thrifty_queueing::inversion::WaitDistribution::new(&self.params.mmpp, &service, &solution);
+        let dist = WaitDistribution::new(&queue, &solution);
         Ok(levels
             .iter()
             .map(|&p| dist.quantile(p) + solution.h1) // wait + mean service
@@ -133,12 +133,11 @@ impl<'a> DelayModel<'a> {
         Ok(pred)
     }
 
-    /// Predict the delay for a policy by solving the 2-MMPP/G/1 queue.
+    /// Predict the delay for a policy by solving the MMPP/G/1 queue.
     pub fn predict(&self, policy: Policy) -> Result<DelayPrediction, SolveError> {
         let service = self.service_distribution(policy);
         let enc_mean = self.encryption_component(policy).mean();
-        let queue = MmppG1::new(self.params.mmpp, service);
-        let solution = queue.solve()?;
+        let solution = MmppG1::new(self.params.mmpp.into(), service).solve()?;
         Ok(DelayPrediction {
             mean_wait_s: solution.mean_wait_s,
             mean_delay_s: solution.mean_sojourn_s,

@@ -65,7 +65,7 @@ fn solvers(c: &mut Criterion) {
     let mmpp = Mmpp2::new(100.0, 10.0, 900.0, 60.0);
     let service = ServiceDistribution::gaussian(0.9e-3, 0.9e-4);
     c.bench_function("mmpp_g1_solver", |b| {
-        b.iter(|| black_box(MmppG1::new(mmpp, service.clone()).solve().unwrap()))
+        b.iter(|| black_box(MmppG1::new(mmpp.into(), service.clone()).solve().unwrap()))
     });
     let params = ScenarioParams::calibrated(MotionLevel::High, 30, SAMSUNG_GALAXY_S2, 5, 0.92);
     let scene = SceneDistortion::measure(MotionLevel::High, 60, 12, 3);
@@ -98,10 +98,12 @@ fn scene_rendering(c: &mut Criterion) {
 
 fn wait_distribution(c: &mut Criterion) {
     use thrifty::queueing::inversion::WaitDistribution;
-    let mmpp = Mmpp2::new(100.0, 10.0, 900.0, 60.0);
-    let service = ServiceDistribution::gaussian(0.003, 3e-4);
-    let solution = MmppG1::new(mmpp, service.clone()).solve().unwrap();
-    let dist = WaitDistribution::new(&mmpp, &service, &solution);
+    let queue = MmppG1::new(
+        Mmpp2::new(100.0, 10.0, 900.0, 60.0).into(),
+        ServiceDistribution::gaussian(0.003, 3e-4),
+    );
+    let solution = queue.solve().unwrap();
+    let dist = WaitDistribution::new(&queue, &solution);
     c.bench_function("euler_wait_cdf_point", |b| {
         b.iter(|| black_box(dist.cdf(black_box(0.01))))
     });

@@ -34,8 +34,7 @@
 //! uploaders × three policies via `thrifty-fleet`, see EXPERIMENTS.md
 //! "Fleet scaling") and **exits non-zero** if any cell violates its
 //! guarantees: N=1 byte-identity with the single-sender path, same-seed
-//! bit-reproducibility, 2-state/n-state solver agreement, or a solve-cache
-//! hit rate ≤ 90% at N=100. Also excluded from `all`. It then drives the
+//! bit-reproducibility, or a solve-cache hit rate ≤ 90% at N=100. Also excluded from `all`. It then drives the
 //! lean event-calendar scale path out to N = 10^5 flows (10^6 with
 //! `--full`) and writes `BENCH_fleet.json` — events/sec and peak RSS per N
 //! (the only place wall-clock numbers appear; stdout stays byte-stable so
@@ -288,8 +287,8 @@ fn main() {
     // `fleet` scales the testbed out to N concurrent uploaders and
     // self-verifies its determinism/caching guarantees: an N=1 cell that
     // diverges from the single-sender path, a same-seed metered run that is
-    // not bit-reproducible, a 2-state/n-state solver disagreement, or a
-    // solve-cache hit rate ≤ 90% on the 100-flow cells are violations.
+    // not bit-reproducible, or a solve-cache hit rate ≤ 90% on the 100-flow
+    // cells are violations.
     if wanted.contains(&"fleet") {
         let mut violations = Vec::new();
         if !quick {

@@ -5,7 +5,7 @@
 //! (full encryption, I-only, I+20 %P) and reports, per cell, the per-flow
 //! delay distribution (mean/p50/p95/p99), aggregate delivered goodput, the
 //! eavesdropper's PSNR, the analytic prediction at the coupled station
-//! count, and the solve-cache hit rate. Three hard guarantees are encoded
+//! count, and the solve-cache hit rate. Two hard guarantees are encoded
 //! as table columns and checked on each cell's typed result while its row
 //! is built (the violations come back in the [`MatrixReport`]):
 //!
@@ -14,9 +14,7 @@
 //!   sequential `SenderSim`, no cache, no shards, no merge);
 //! * **`reproducible`** — every cell runs twice from the same seed with a
 //!   fresh cache and registry, and the two metered runs must agree bit for
-//!   bit (merged telemetry included);
-//! * **`solver residual`** — the 2-state [`MmppG1`] and n-state
-//!   [`MmppNG1`] solves of the same cell queue agree to < 1e-6 relative.
+//!   bit (merged telemetry included).
 //!
 //! Beyond the full-fidelity sweep, [`scale_sweep`] drives the lean
 //! event-calendar path (`thrifty_fleet::scale`) out to N = 10^5 flows by
@@ -26,8 +24,6 @@
 //! stdout, which stays byte-stable).
 //!
 //! [`ScenarioParams::calibrated`]: thrifty::analytic::params::ScenarioParams::calibrated
-//! [`MmppG1`]: thrifty::queueing::MmppG1
-//! [`MmppNG1`]: thrifty::queueing::solver_n::MmppNG1
 
 use std::time::Instant;
 
@@ -143,7 +139,6 @@ impl FleetCell {
                     run.aggregate_throughput_bps / 1e3,
                 ),
                 ("eve PSNR (dB)".into(), run.psnr_eve_db),
-                ("solver residual".into(), run.cross_solver_rel()),
                 ("cache hit rate".into(), self.hit_rate()),
                 (
                     "single-sender ==".into(),
@@ -164,12 +159,6 @@ impl FleetCell {
         if !self.single_identical() {
             violations.push(format!(
                 "{label}: N=1 cell diverged from the single-sender path"
-            ));
-        }
-        let residual = run.cross_solver_rel();
-        if residual.is_nan() || residual >= 1e-6 {
-            violations.push(format!(
-                "{label}: 2-state vs n-state solver residual {residual}"
             ));
         }
         let hit_rate = self.hit_rate();
@@ -217,10 +206,8 @@ fn sweep(effort: Effort, sizes: &[usize]) -> MatrixReport {
          flow-id-ordered telemetry merges make every cell bit-reproducible \
          (`reproducible` = 1, same-seed double run). `single-sender ==` = 1 \
          on the N=1 rows certifies byte-identity with the pre-fleet \
-         sequential sender path. `solver residual` is the relative \
-         disagreement between the 2-state and n-state MMPP/G/1 solvers on \
-         the cell's queue; `cache hit rate` is the solve-cache's share of \
-         lookups answered without re-solving."
+         sequential sender path. `cache hit rate` is the solve-cache's share \
+         of lookups answered without re-solving."
             .into(),
         results
             .into_iter()

@@ -738,7 +738,7 @@ pub fn ablation_arrival_model(effort: Effort) -> Table {
         let mmpp_delay = model.predict(policy).unwrap().mean_delay_s;
         // Same service, Poisson arrivals at the same mean rate.
         let service = model.service_distribution(policy);
-        let poisson = MmppG1::new(Mmpp2::poisson(exp.params.mmpp.mean_rate()), service)
+        let poisson = MmppG1::new(Mmpp2::poisson(exp.params.mmpp.mean_rate()).into(), service)
             .solve()
             .unwrap();
         let sim_delay = exp.run().delay_s.mean;
@@ -968,12 +968,14 @@ pub fn ablation_producer_loop(effort: Effort) -> Table {
 
 /// Ablation F — 2-phase vs 3-phase arrival model: the simulated producer
 /// actually has *three* regimes (I-fragment burst, paced P packets, and an
-/// idle wait for the next GOP slot). The general n-state solver
-/// ([`thrifty::queueing::solver_n`]) lets us model all three; this table
-/// shows what the extra phase buys over the paper's 2-MMPP.
+/// idle wait for the next GOP slot). The MMPP/G/1 solver
+/// ([`thrifty::queueing::solver`]) takes any number of phases, so it models
+/// all three; this table shows what the extra phase buys over the paper's
+/// 2-MMPP.
 pub fn ablation_three_phase(effort: Effort) -> Table {
     use thrifty::queueing::matrix::Matrix;
-    use thrifty::queueing::solver_n::{MmppN, MmppNG1};
+    use thrifty::queueing::mmpp::MmppN;
+    use thrifty::queueing::solver::MmppG1;
     let rows = par_map(&MOTIONS, |&(label, motion)| {
         let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
         let cfg = cell(
@@ -1009,7 +1011,7 @@ pub fn ablation_three_phase(effort: Effort) -> Table {
                 &[1.0 / dur_idle, 0.0, -1.0 / dur_idle],
             ]);
             let three = MmppN::new(gen, vec![m2.lambda1, lambda_p, 0.0]);
-            MmppNG1::new(three, service.clone())
+            MmppG1::new(three, service.clone())
                 .solve()
                 .expect("3-phase model stable")
                 .mean_sojourn_s

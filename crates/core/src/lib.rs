@@ -17,7 +17,7 @@
 //! | Ciphers (AES-128/256, 3DES, OFB) | [`thrifty_crypto`] | GPAC crypto |
 //! | Video (scenes, GOPs, NAL, quality) | [`thrifty_video`] | x264 + EvalVid + AForge + CIF clips |
 //! | Network (DCF, channels, RTP/UDP/TCP) | [`thrifty_net`] | live 802.11g WLAN + tcpdump |
-//! | Queueing (2-MMPP/G/1 solver) | [`thrifty_queueing`] | Heffes–Lucantoni / MMPP cookbook |
+//! | Queueing (n-phase MMPP/G/1 solver) | [`thrifty_queueing`] | Heffes–Lucantoni / MMPP cookbook |
 //! | Analytics (delay + distortion models) | [`thrifty_analytic`] | Section 4 |
 //! | Energy (device power model) | [`thrifty_energy`] | Monsoon monitor |
 //! | Testbed (simulated experiments) | [`thrifty_sim`] | Android app, Section 5–6 |

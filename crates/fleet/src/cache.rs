@@ -3,15 +3,13 @@
 //! An N-flow cell asks for the same channel operating point and the same
 //! queue solution once per flow; re-running the DCF fixed point and the
 //! MMPP/G/1 series expansion N times would dominate the sweep. The
-//! [`SolveCache`] memoizes three solve families, keyed by
+//! [`SolveCache`] memoizes two solve families, keyed by
 //! (policy × station count × PHY × scenario fingerprint):
 //!
 //! * [`DcfModel::try_solve`] → [`DcfSolution`] — the contention coupling of
 //!   eqs. 4–9;
-//! * [`DelayModel::predict`] → [`DelayPrediction`] — the 2-MMPP/G/1 delay
-//!   of eq. 19;
-//! * [`MmppNG1::solve`] → [`QueueSolutionN`] — the n-state solver on the
-//!   same scenario, used as a cross-solver consistency gate.
+//! * [`DelayModel::predict`] → [`DelayPrediction`] — the MMPP/G/1 delay
+//!   of eq. 19.
 //!
 //! Every lookup increments either [`SolveCache::HITS`] or
 //! [`SolveCache::MISSES`] in the caller's `MetricsRegistry`; FIFO
@@ -26,7 +24,6 @@
 //!
 //! [`DcfModel::try_solve`]: thrifty_net::dcf::DcfModel::try_solve
 //! [`DelayModel::predict`]: thrifty_analytic::delay::DelayModel::predict
-//! [`MmppNG1::solve`]: thrifty_queueing::solver_n::MmppNG1::solve
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -35,9 +32,7 @@ use thrifty_analytic::delay::{DelayModel, DelayPrediction};
 use thrifty_analytic::params::ScenarioParams;
 use thrifty_analytic::policy::{EncryptionMode, Policy};
 use thrifty_net::dcf::{DcfError, DcfModel, DcfSolution};
-use thrifty_queueing::matrix::Matrix;
 use thrifty_queueing::solver::SolveError;
-use thrifty_queueing::solver_n::{MmppN, MmppNG1, QueueSolutionN};
 use thrifty_telemetry::{MetricsRegistry, Snapshot};
 
 use crate::rng::fnv1a;
@@ -106,7 +101,7 @@ impl<T> Default for BoundedMemo<T> {
     }
 }
 
-/// A thread-safe memo table for the three solve families the fleet engine
+/// A thread-safe memo table for the two solve families the fleet engine
 /// consults per flow. One cache is scoped to one cell (one registry), so
 /// the hit/miss counters it reports are deterministic.
 ///
@@ -122,7 +117,6 @@ impl<T> Default for BoundedMemo<T> {
 pub struct SolveCache {
     dcf: Mutex<BoundedMemo<DcfSolution>>,
     delay: Mutex<BoundedMemo<DelayPrediction>>,
-    queue_n: Mutex<BoundedMemo<QueueSolutionN>>,
     capacity: usize,
 }
 
@@ -155,7 +149,6 @@ impl SolveCache {
         SolveCache {
             dcf: Mutex::default(),
             delay: Mutex::default(),
-            queue_n: Mutex::default(),
             capacity,
         }
     }
@@ -225,37 +218,10 @@ impl SolveCache {
         )
     }
 
-    /// Memoized n-state solve of the same queue: the scenario's 2-MMPP
-    /// embedded as a 2-phase [`MmppN`] through the general [`MmppNG1`]
-    /// solver. Agrees with [`delay`](Self::delay) to ~1e-9 relative — the
-    /// engine uses the pair as a cross-solver consistency gate.
-    pub fn queue_n(
-        &self,
-        params: &ScenarioParams,
-        stations: usize,
-        policy: Policy,
-        metrics: &MetricsRegistry,
-    ) -> Result<QueueSolutionN, SolveError> {
-        Self::memo(
-            &self.queue_n,
-            self.capacity,
-            queue_key("queue_n", params, stations, policy),
-            metrics,
-            || {
-                let m = &params.mmpp;
-                let generator = Matrix::from_rows(&[&[-m.p1, m.p1], &[m.p2, -m.p2]]);
-                let mmpp_n = MmppN::new(generator, vec![m.lambda1, m.lambda2]);
-                let service = DelayModel::new(params).service_distribution(policy);
-                MmppNG1::new(mmpp_n, service).solve()
-            },
-        )
-    }
-
     /// Number of distinct solutions currently memoized (all families).
     pub fn len(&self) -> usize {
         self.dcf.lock().expect("solve cache poisoned").map.len()
             + self.delay.lock().expect("solve cache poisoned").map.len()
-            + self.queue_n.lock().expect("solve cache poisoned").map.len()
     }
 
     /// Whether nothing has been memoized yet.
@@ -377,18 +343,6 @@ mod tests {
             .unwrap();
         assert_eq!(metrics.snapshot().counter(SolveCache::MISSES), 4);
         assert!(c.mean_delay_s <= d.mean_delay_s);
-    }
-
-    #[test]
-    fn n_state_solver_agrees_with_two_state() {
-        let cache = SolveCache::new();
-        let metrics = MetricsRegistry::enabled();
-        let params = scenario(9);
-        let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IPlusFractionP(0.2));
-        let two = cache.delay(&params, 9, policy, &metrics).unwrap();
-        let n = cache.queue_n(&params, 9, policy, &metrics).unwrap();
-        let rel = (n.mean_sojourn_s - two.mean_delay_s).abs() / two.mean_delay_s;
-        assert!(rel < 1e-6, "cross-solver disagreement {rel}");
     }
 
     #[test]

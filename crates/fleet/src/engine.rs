@@ -145,13 +145,8 @@ pub struct FleetResult {
     pub stations: usize,
     /// Per-flow outcomes in flow-id order.
     pub flows: Vec<FlowOutcome>,
-    /// Analytic per-packet delay prediction (2-MMPP/G/1, eq. 19).
+    /// Analytic per-packet delay prediction (MMPP/G/1, eq. 19).
     pub analytic: DelayPrediction,
-    /// Mean sojourn from the n-state [`MmppNG1`] solve of the same queue —
-    /// kept alongside [`analytic`](Self::analytic) as a cross-solver gate.
-    ///
-    /// [`MmppNG1`]: thrifty_queueing::solver_n::MmppNG1
-    pub analytic_n_sojourn_s: f64,
     /// Mean per-packet delay over all packets of all flows, seconds.
     pub mean_delay_s: f64,
     /// Fleet-wide per-packet delay percentiles, seconds.
@@ -170,13 +165,6 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// Relative disagreement between the 2-state and n-state analytic
-    /// solvers — a solver-consistency residual the sweep gates on.
-    pub fn cross_solver_rel(&self) -> f64 {
-        (self.analytic_n_sojourn_s - self.analytic.mean_delay_s).abs()
-            / self.analytic.mean_delay_s.abs().max(f64::MIN_POSITIVE)
-    }
-
     /// Bit-level equality of two results (every flow, every aggregate, the
     /// merged snapshot).
     pub fn bit_identical(&self, other: &FleetResult) -> bool {
@@ -194,7 +182,6 @@ impl FleetResult {
             && self.aggregate_throughput_bps.to_bits() == other.aggregate_throughput_bps.to_bits()
             && self.psnr_eve_db.to_bits() == other.psnr_eve_db.to_bits()
             && self.analytic.mean_delay_s.to_bits() == other.analytic.mean_delay_s.to_bits()
-            && self.analytic_n_sojourn_s.to_bits() == other.analytic_n_sojourn_s.to_bits()
             && self.merged.to_json() == other.merged.to_json()
     }
 }
@@ -321,14 +308,10 @@ impl FleetEngine {
         let analytic = cache
             .delay(&self.params, stations, cfg.policy, metrics)
             .expect("calibration keeps the fleet policy stable");
-        let queue_n = cache
-            .queue_n(&self.params, stations, cfg.policy, metrics)
-            .expect("calibration keeps the fleet policy stable");
 
         FleetResult {
             stations,
             analytic,
-            analytic_n_sojourn_s: queue_n.mean_sojourn_s,
             mean_delay_s,
             p50_delay_s: percentile(&all_delays, 0.50),
             p95_delay_s: percentile(&all_delays, 0.95),
@@ -341,8 +324,8 @@ impl FleetEngine {
     }
 
     /// Per-flow cache traffic and stream setup, shared by both paths: the
-    /// same three solve queries the legacy loop issued per flow (all hits
-    /// after warm-up — nothing here re-solves), the flow's calibrated
+    /// flow's two solve queries, DCF and delay (all hits after warm-up —
+    /// nothing here re-solves), the flow's calibrated
     /// parameters with the cell's DCF operating point written in
     /// explicitly — so the coupling "live station count → every flow's
     /// backoff" stays visible in the flow setup itself — and the flow's
@@ -358,7 +341,6 @@ impl FleetEngine {
             .dcf(&Self::dcf_model(cfg), metrics)
             .expect("validated at prepare");
         let _ = cache.delay(&self.params, cfg.stations(), cfg.policy, metrics);
-        let _ = cache.queue_n(&self.params, cfg.stations(), cfg.policy, metrics);
         let mut params = self.params.clone();
         params.dcf = dcf;
         (params, flow_rng(cfg.seed, flow), MetricsRegistry::enabled())
@@ -641,11 +623,10 @@ mod tests {
         let engine = FleetEngine::prepare(cfg, &cache, &metrics);
         engine.run(&cache, &metrics);
         let snap = metrics.snapshot();
-        // prepare: 1 dcf miss. flows: 8 x (dcf + delay + queue_n) = 24
-        // queries, of which delay and queue_n miss once each. run(): 2 more
-        // hits for the result fields.
-        assert_eq!(snap.counter(SolveCache::MISSES), 3);
-        assert_eq!(snap.counter(SolveCache::HITS), 24);
+        // prepare: 1 dcf miss. flows: 8 x (dcf + delay) = 16 queries, of
+        // which delay misses once. run(): 1 more hit for the result field.
+        assert_eq!(snap.counter(SolveCache::MISSES), 2);
+        assert_eq!(snap.counter(SolveCache::HITS), 16);
         let rate = SolveCache::hit_rate(&snap).unwrap();
         assert!(rate > 0.85, "hit rate {rate}");
     }
@@ -682,16 +663,6 @@ mod tests {
         assert!(
             snap.counter(SolveCache::EVICTIONS) > 0,
             "a shared capacity-1 cache across cells must evict"
-        );
-    }
-
-    #[test]
-    fn analytic_solvers_agree() {
-        let r = run(small(10));
-        assert!(
-            r.cross_solver_rel() < 1e-6,
-            "2-state vs n-state residual {}",
-            r.cross_solver_rel()
         );
     }
 

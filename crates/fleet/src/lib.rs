@@ -16,9 +16,9 @@
 //!   `(master seed, flow id)` alone via the FNV-1a + SplitMix64 discipline
 //!   of `thrifty-faults`, so adding flows or changing the shard count never
 //!   perturbs another flow's trajectory.
-//! * **Memoized solves** — DCF fixed points, 2-MMPP/G/1 delay predictions
-//!   and n-state [`MmppNG1`] solutions are cached per
-//!   (policy × station count × PHY) in a [`SolveCache`]; the per-flow hot
+//! * **Memoized solves** — DCF fixed points and MMPP/G/1 delay predictions
+//!   are cached per (policy × station count × PHY) in a [`SolveCache`];
+//!   the per-flow hot
 //!   loop only ever performs cache lookups after the first flow warms each
 //!   key, and the hit/miss counters land in telemetry.
 //! * **Bit-reproducible metered runs** — every flow owns its own
@@ -32,7 +32,6 @@
 //! the property `reproduce fleet` self-verifies.
 //!
 //! [`DcfModel::solve`]: thrifty_net::dcf::DcfModel::solve
-//! [`MmppNG1`]: thrifty_queueing::solver_n::MmppNG1
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

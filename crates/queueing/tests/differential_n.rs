@@ -1,7 +1,7 @@
 //! Differential validation of the n-state analytic solver.
 //!
 //! For 3- and 4-state MMPP/G/1 queues (where no closed form exists to pin
-//! the answer), the [`MmppNG1`] matrix-analytic solve must agree with a
+//! the answer), the [`MmppG1`] matrix-analytic solve must agree with a
 //! Monte-Carlo Lindley simulation of the very same queue. The assertion is
 //! a **confidence interval, not a fixed epsilon**: the simulation runs as
 //! independent replications, and the analytic mean sojourn must fall inside
@@ -11,9 +11,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thrifty_queueing::matrix::Matrix;
+use thrifty_queueing::mmpp::MmppN;
 use thrifty_queueing::service::ServiceDistribution;
-use thrifty_queueing::simulate::simulate_mmpp_n_g1;
-use thrifty_queueing::solver_n::{MmppN, MmppNG1};
+use thrifty_queueing::simulate::simulate_mmpp_g1;
+use thrifty_queueing::solver::MmppG1;
 
 /// Replications per case; seeds are fixed so the suite is deterministic.
 const REPS: usize = 12;
@@ -34,7 +35,7 @@ fn replicate(mmpp: &MmppN, service: &ServiceDistribution, base_seed: u64) -> Vec
     (0..REPS)
         .map(|r| {
             let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(1 + r as u64));
-            simulate_mmpp_n_g1(mmpp, service, PACKETS, &mut rng).mean_sojourn_s
+            simulate_mmpp_g1(mmpp, service, PACKETS, &mut rng).mean_sojourn_s
         })
         .collect()
 }
@@ -50,7 +51,7 @@ fn ci(reps: &[f64]) -> CiReport {
 }
 
 fn assert_analytic_in_ci(label: &str, mmpp: MmppN, service: ServiceDistribution, seed: u64) {
-    let solution = MmppNG1::new(mmpp.clone(), service.clone())
+    let solution = MmppG1::new(mmpp.clone(), service.clone())
         .solve()
         .unwrap_or_else(|e| panic!("{label}: solver failed: {e:?}"));
     assert!(

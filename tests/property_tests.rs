@@ -8,7 +8,7 @@ use thrifty::crypto::{
     Aes128, Aes256, AesBitsliced, AesFast, Algorithm, BlockCipher, CipherBackend, SegmentCipher,
 };
 use thrifty::net::wire::{RtpHeader, RtpPacket};
-use thrifty::queueing::mmpp::Mmpp2;
+use thrifty::queueing::mmpp::{Mmpp2, MmppN};
 use thrifty::queueing::service::{ServiceComponent, ServiceDistribution};
 use thrifty::video::nal::{parse_annex_b, write_annex_b, NalUnit, NalUnitType};
 use thrifty::video::packet::Packetizer;
@@ -318,7 +318,7 @@ proptest! {
         let pi = m.equilibrium();
         prop_assert!((pi[0] + pi[1] - 1.0).abs() < 1e-9);
         prop_assert!(pi[0] >= 0.0 && pi[1] >= 0.0);
-        let res = m.generator().vec_mul(&pi);
+        let res = MmppN::from(m).generator.vec_mul(&pi);
         prop_assert!(res[0].abs() < 1e-6 && res[1].abs() < 1e-6);
         let rate = m.mean_rate();
         prop_assert!(rate >= l1.min(l2) - 1e-9 && rate <= l1.max(l2) + 1e-9);
@@ -428,10 +428,10 @@ proptest! {
         use thrifty::queueing::service::ServiceDistribution;
         use thrifty::queueing::solver::MmppG1;
         prop_assume!(lambda * mean_service < 0.85); // keep the queue stable
-        let mmpp = Mmpp2::poisson(lambda);
         let service = ServiceDistribution::gaussian(mean_service, mean_service / 10.0);
-        let solution = MmppG1::new(mmpp, service.clone()).solve().unwrap();
-        let dist = WaitDistribution::new(&mmpp, &service, &solution);
+        let queue = MmppG1::new(Mmpp2::poisson(lambda).into(), service);
+        let solution = queue.solve().unwrap();
+        let dist = WaitDistribution::new(&queue, &solution);
         let mut last = -1e-6;
         for t in [1e-4, 1e-3, 5e-3, 2e-2, 1e-1] {
             let f = dist.cdf(t);
