@@ -43,9 +43,7 @@ impl ServiceComponent {
     /// First raw moment (mean).
     pub fn mean(&self) -> f64 {
         match self {
-            ServiceComponent::GaussianMixture(atoms) => {
-                atoms.iter().map(|&(w, m, _)| w * m).sum()
-            }
+            ServiceComponent::GaussianMixture(atoms) => atoms.iter().map(|&(w, m, _)| w * m).sum(),
             ServiceComponent::GeometricExponential { success_prob, rate } => {
                 (1.0 - success_prob) / (success_prob * rate)
             }
@@ -55,10 +53,9 @@ impl ServiceComponent {
     /// Second raw moment `E\[X²\]`.
     pub fn moment2(&self) -> f64 {
         match self {
-            ServiceComponent::GaussianMixture(atoms) => atoms
-                .iter()
-                .map(|&(w, m, s)| w * (m * m + s * s))
-                .sum(),
+            ServiceComponent::GaussianMixture(atoms) => {
+                atoms.iter().map(|&(w, m, s)| w * (m * m + s * s)).sum()
+            }
             ServiceComponent::GeometricExponential { success_prob, rate } => {
                 2.0 * (1.0 - success_prob) / (success_prob * success_prob * rate * rate)
             }
@@ -312,11 +309,7 @@ mod tests {
             (0.7, 2.0, 0.5),
         ])]);
         assert_close(d.mean(), 0.3 * 10.0 + 0.7 * 2.0, 1e-12);
-        assert_close(
-            d.moment2(),
-            0.3 * (100.0 + 1.0) + 0.7 * (4.0 + 0.25),
-            1e-12,
-        );
+        assert_close(d.moment2(), 0.3 * (100.0 + 1.0) + 0.7 * (4.0 + 0.25), 1e-12);
     }
 
     #[test]
