@@ -187,7 +187,10 @@ impl Experiment {
                 // becomes (near) certain but head-of-line latency appears.
                 params.mac_retries = 7;
                 let tcp_loss = 1.0 - self.params.delivery_rate();
-                Some(MeteredTcp::new(TcpLatencyModel::new(tcp_loss, 0.01), metrics))
+                Some(MeteredTcp::new(
+                    TcpLatencyModel::new(tcp_loss, 0.01),
+                    metrics,
+                ))
             }
         };
         let gops_dropped_eve = metrics.counter("sim.gops_dropped_eve");
@@ -212,8 +215,7 @@ impl Experiment {
                     r.service_s += model.sample_extra_delay_s(&mut rng);
                 }
                 let n = summary.records.len().max(1) as f64;
-                summary.mean_delay_s =
-                    summary.records.iter().map(|r| r.delay_s()).sum::<f64>() / n;
+                summary.mean_delay_s = summary.records.iter().map(|r| r.delay_s()).sum::<f64>() / n;
             }
             // End-to-end telemetry is recorded after the TCP adjustment so
             // the stage spans decompose exactly what the figures report.
@@ -275,11 +277,7 @@ mod tests {
 
     #[test]
     fn eavesdropper_sees_worse_video_under_i_encryption() {
-        let r = quick(
-            MotionLevel::Low,
-            EncryptionMode::IFrames,
-            Transport::RtpUdp,
-        );
+        let r = quick(MotionLevel::Low, EncryptionMode::IFrames, Transport::RtpUdp);
         assert!(
             r.psnr_eve_db.mean < r.psnr_rx_db.mean - 5.0,
             "eve {} rx {}",
@@ -317,7 +315,12 @@ mod tests {
     #[test]
     fn power_orders_with_policy() {
         let none = quick(MotionLevel::High, EncryptionMode::None, Transport::RtpUdp).power_w;
-        let i = quick(MotionLevel::High, EncryptionMode::IFrames, Transport::RtpUdp).power_w;
+        let i = quick(
+            MotionLevel::High,
+            EncryptionMode::IFrames,
+            Transport::RtpUdp,
+        )
+        .power_w;
         let all = quick(MotionLevel::High, EncryptionMode::All, Transport::RtpUdp).power_w;
         assert!(none < i && i < all);
     }
@@ -342,7 +345,10 @@ mod tests {
             plain.delay_s.mean.to_bits(),
             "metering must not change the figures"
         );
-        assert_eq!(metered.psnr_eve_db.mean.to_bits(), plain.psnr_eve_db.mean.to_bits());
+        assert_eq!(
+            metered.psnr_eve_db.mean.to_bits(),
+            plain.psnr_eve_db.mean.to_bits()
+        );
         assert!(metrics.snapshot().counter("net.tcp.retransmissions") > 0);
     }
 
@@ -386,7 +392,9 @@ mod tests {
                 result.delay_s.mean,
                 e2e.mean_s()
             );
-            let hist = snap.histogram("sim.packet_delay_s").expect("delay histogram");
+            let hist = snap
+                .histogram("sim.packet_delay_s")
+                .expect("delay histogram");
             assert_eq!(hist.count(), e2e.count);
         }
     }

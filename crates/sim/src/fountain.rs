@@ -247,7 +247,10 @@ pub fn run_pipeline_fountain_metered(
             });
             data.extend_from_slice(&bytes);
         }
-        blocks.push(SourceBlock { data, frames: entries });
+        blocks.push(SourceBlock {
+            data,
+            frames: entries,
+        });
     }
 
     // Transmit: per block, k systematic + ceil(k·ε) repair symbols
@@ -424,7 +427,11 @@ mod tests {
     fn stream(n: usize) -> Vec<InputFrame> {
         (0..n)
             .map(|i| {
-                let ftype = if i % 10 == 0 { FrameType::I } else { FrameType::P };
+                let ftype = if i % 10 == 0 {
+                    FrameType::I
+                } else {
+                    FrameType::P
+                };
                 let bytes = if ftype == FrameType::I { 8000 } else { 900 };
                 InputFrame::synthetic(i, ftype, bytes)
             })
@@ -496,7 +503,10 @@ mod tests {
             ..config(EncryptionMode::None)
         };
         let out = run_pipeline_fountain(&stream(40), &cfg).unwrap();
-        assert!(out.source_unrecovered > 0, "no repair + loss must erase symbols");
+        assert!(
+            out.source_unrecovered > 0,
+            "no repair + loss must erase symbols"
+        );
         assert!(out.receiver.frames_ok.len() < 40);
         assert!(!out.receiver.frames_damaged.is_empty());
     }
@@ -538,7 +548,11 @@ mod tests {
                 other => panic!("{want}: expected InvalidFountain, got {other}"),
             }
             // Rejected before any work: not one symbol went on the air.
-            assert_eq!(metrics.snapshot().counter("fountain.symbols_sent"), 0, "{want}");
+            assert_eq!(
+                metrics.snapshot().counter("fountain.symbols_sent"),
+                0,
+                "{want}"
+            );
         }
     }
 
@@ -553,7 +567,10 @@ mod tests {
         };
         let err = run_pipeline_fountain(&frames, &cfg).expect_err("block too large");
         assert!(
-            matches!(err, PipelineError::Fec(thrifty_fec::FecError::TooManySymbols { .. })),
+            matches!(
+                err,
+                PipelineError::Fec(thrifty_fec::FecError::TooManySymbols { .. })
+            ),
             "{err}"
         );
     }
@@ -579,8 +596,14 @@ mod tests {
         let metrics = MetricsRegistry::enabled();
         let metered = run_pipeline_fountain_metered(&stream(60), &cfg, &metrics).unwrap();
         let snap = metrics.snapshot();
-        assert_eq!(snap.counter("fountain.symbols_sent"), metered.symbols_sent as u64);
-        assert_eq!(snap.counter("fountain.symbols_lost"), metered.symbols_lost as u64);
+        assert_eq!(
+            snap.counter("fountain.symbols_sent"),
+            metered.symbols_sent as u64
+        );
+        assert_eq!(
+            snap.counter("fountain.symbols_lost"),
+            metered.symbols_lost as u64
+        );
         assert_eq!(
             snap.counter("fountain.frames_delivered"),
             metered.receiver.frames_ok.len() as u64

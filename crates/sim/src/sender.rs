@@ -83,7 +83,12 @@ impl SenderSummary {
         self.frame_flags(n_frames, sensitivity_frac, true)
     }
 
-    fn frame_flags(&self, n_frames: usize, sensitivity_frac: f64, strip_encrypted: bool) -> Vec<bool> {
+    fn frame_flags(
+        &self,
+        n_frames: usize,
+        sensitivity_frac: f64,
+        strip_encrypted: bool,
+    ) -> Vec<bool> {
         #[derive(Default, Clone)]
         struct FrameAcc {
             first_ok: bool,
@@ -590,13 +595,7 @@ impl<R: Rng + ?Sized> FlowMachine for SenderFlowMachine<'_, R> {
         }
     }
 
-    fn on_event(
-        &mut self,
-        key: EventKey,
-        _event: (),
-        sched: &mut Schedule<'_, ()>,
-        _ctx: &mut (),
-    ) {
+    fn on_event(&mut self, key: EventKey, _event: (), sched: &mut Schedule<'_, ()>, _ctx: &mut ()) {
         let i = key.seq as usize;
         self.core.step(&self.packets[i], key.time.as_s(), self.rng);
         if i + 1 < self.packets.len() {
@@ -696,12 +695,18 @@ mod tests {
     fn encryption_increases_delay() {
         let (params, stream, _) = setup(EncryptionMode::None);
         let mut rng = StdRng::seed_from_u64(7);
-        let none = SenderSim::new(&params, Policy::new(Algorithm::TripleDes, EncryptionMode::None))
-            .run(&stream, &mut rng)
-            .mean_delay_s;
-        let all = SenderSim::new(&params, Policy::new(Algorithm::TripleDes, EncryptionMode::All))
-            .run(&stream, &mut rng)
-            .mean_delay_s;
+        let none = SenderSim::new(
+            &params,
+            Policy::new(Algorithm::TripleDes, EncryptionMode::None),
+        )
+        .run(&stream, &mut rng)
+        .mean_delay_s;
+        let all = SenderSim::new(
+            &params,
+            Policy::new(Algorithm::TripleDes, EncryptionMode::All),
+        )
+        .run(&stream, &mut rng)
+        .mean_delay_s;
         assert!(all > 1.5 * none, "all {all} vs none {none}");
     }
 
