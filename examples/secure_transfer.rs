@@ -1,7 +1,7 @@
 //! End-to-end secure transfer over the real-bytes pipeline (paper Fig. 3).
 //!
 //! Builds genuine H.264 Annex-B NAL units, runs the two-thread
-//! queue → encryptor → air ‖ {eavesdropper, receiver} pipeline with the
+//! queue → encryptor → air → eavesdropper ‖ receiver pipeline with the
 //! actual AES-256 cipher in per-segment OFB mode, and shows that the
 //! receiver reconstructs every frame byte-for-byte while the eavesdropper
 //! can only use what was left in the clear.
