@@ -146,7 +146,10 @@ impl AesBitsliced {
                 for (lane, seg) in segments[start..start + n].iter_mut().enumerate() {
                     if offset < seg.len() {
                         let take = (seg.len() - offset).min(16);
-                        for (dst, ks) in seg[offset..offset + take].iter_mut().zip(feedback[lane].iter()) {
+                        for (dst, ks) in seg[offset..offset + take]
+                            .iter_mut()
+                            .zip(feedback[lane].iter())
+                        {
                             *dst ^= ks;
                         }
                     }
@@ -587,8 +590,8 @@ mod tests {
         assert_eq!(
             block[0],
             [
-                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19,
-                0x6a, 0x0b, 0x32
+                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
+                0x0b, 0x32
             ]
         );
     }
@@ -604,8 +607,8 @@ mod tests {
         assert_eq!(
             block[0],
             [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70,
-                0xb4, 0xc5, 0x5a
+                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+                0xc5, 0x5a
             ]
         );
         // C.3: AES-256, key 000102...1f.
@@ -615,8 +618,8 @@ mod tests {
         assert_eq!(
             block[0],
             [
-                0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b,
-                0x49, 0x60, 0x89
+                0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
+                0x60, 0x89
             ]
         );
     }
