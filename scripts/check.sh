@@ -4,9 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check (crates formatted so far: thrifty-queueing, thrifty-sim)"
+echo "==> cargo fmt --check (crates formatted so far: thrifty-queueing, thrifty-sim, thrifty-crypto)"
 # Extend the -p list as each crate is formatted in a change of its own.
-cargo fmt --check -p thrifty-queueing -p thrifty-sim
+cargo fmt --check -p thrifty-queueing -p thrifty-sim -p thrifty-crypto
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -37,7 +37,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench -p thrifty-bench -- --test (smoke + backend ratio gates)"
 # Besides smoke-running every bench, this executes the backend_ratio_gate:
 # fast must beat reference for every algorithm, fast 3DES must hold an 8x
-# lead (measured ~12x with the permuted-domain core), and batched
+# lead (measured ~12x with the permuted-domain core), fast AES-256 must
+# hold a 3.3x lead (~4x with scalar T-table rounds, ~2.8x when they
+# compiled to AVX-512 gathers), fast 3DES on a 12-segment train must run
+# 1.5x its per-segment rate, and batched
 # bitsliced AES-128 (64-segment trains) must at least match the fast
 # T-table backend. The committed BENCH_cipher.json pins the
 # full >=2x bitsliced headline via its own unit test.
