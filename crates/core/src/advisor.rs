@@ -357,9 +357,12 @@ mod tests {
     fn calibrate_selects_the_device_power_profile() {
         use thrifty_analytic::params::HTC_AMAZE_4G;
         let samsung = advisor(MotionLevel::Low);
-        assert!(samsung.power.name.contains("Samsung"), "{}", samsung.power.name);
-        let htc =
-            PolicyAdvisor::calibrate(MotionLevel::Low, 30, HTC_AMAZE_4G, Algorithm::Aes256);
+        assert!(
+            samsung.power.name.contains("Samsung"),
+            "{}",
+            samsung.power.name
+        );
+        let htc = PolicyAdvisor::calibrate(MotionLevel::Low, 30, HTC_AMAZE_4G, Algorithm::Aes256);
         assert!(htc.power.name.contains("HTC"), "{}", htc.power.name);
     }
 

@@ -65,7 +65,11 @@ mod tests {
             "delay reduction {}",
             h.delay_reduction
         );
-        assert!(h.energy_savings > 0.8, "energy savings {}", h.energy_savings);
+        assert!(
+            h.energy_savings > 0.8,
+            "energy savings {}",
+            h.energy_savings
+        );
         // Confidentiality is preserved while saving.
         assert!(h.balanced_mos < 1.4, "balanced MOS {}", h.balanced_mos);
     }
@@ -74,18 +78,10 @@ mod tests {
     fn fast_motion_saves_less_than_slow() {
         // Section 1: "As a consequence, the savings in cost are less
         // significant" for fast motion.
-        let slow = PolicyAdvisor::calibrate(
-            MotionLevel::Low,
-            30,
-            SAMSUNG_GALAXY_S2,
-            Algorithm::Aes256,
-        );
-        let fast = PolicyAdvisor::calibrate(
-            MotionLevel::High,
-            30,
-            SAMSUNG_GALAXY_S2,
-            Algorithm::Aes256,
-        );
+        let slow =
+            PolicyAdvisor::calibrate(MotionLevel::Low, 30, SAMSUNG_GALAXY_S2, Algorithm::Aes256);
+        let fast =
+            PolicyAdvisor::calibrate(MotionLevel::High, 30, SAMSUNG_GALAXY_S2, Algorithm::Aes256);
         let h_slow = headline_metrics(MotionLevel::Low, &slow);
         let h_fast = headline_metrics(MotionLevel::High, &fast);
         assert!(
@@ -98,12 +94,8 @@ mod tests {
 
     #[test]
     fn headline_ratios_are_internally_consistent() {
-        let advisor = PolicyAdvisor::calibrate(
-            MotionLevel::High,
-            30,
-            SAMSUNG_GALAXY_S2,
-            Algorithm::Aes256,
-        );
+        let advisor =
+            PolicyAdvisor::calibrate(MotionLevel::High, 30, SAMSUNG_GALAXY_S2, Algorithm::Aes256);
         let h = headline_metrics(MotionLevel::High, &advisor);
         // Both ratios are genuine savings: strictly inside (0, 1).
         assert!((0.0..1.0).contains(&h.delay_reduction), "{h:?}");
@@ -136,7 +128,11 @@ mod tests {
             "delay reduction {} should sit at the paper's ≈75%",
             h.delay_reduction
         );
-        assert!(h.energy_savings > 0.9, "energy savings {}", h.energy_savings);
+        assert!(
+            h.energy_savings > 0.9,
+            "energy savings {}",
+            h.energy_savings
+        );
     }
 
     #[test]
@@ -154,12 +150,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "advisor must be calibrated")]
     fn mismatched_motion_is_rejected() {
-        let advisor = PolicyAdvisor::calibrate(
-            MotionLevel::Low,
-            30,
-            SAMSUNG_GALAXY_S2,
-            Algorithm::Aes256,
-        );
+        let advisor =
+            PolicyAdvisor::calibrate(MotionLevel::Low, 30, SAMSUNG_GALAXY_S2, Algorithm::Aes256);
         headline_metrics(MotionLevel::High, &advisor);
     }
 }

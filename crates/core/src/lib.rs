@@ -47,20 +47,20 @@
 pub mod advisor;
 pub mod headline;
 
+/// The paper's analytical framework (Section 4).
+pub use thrifty_analytic as analytic;
 /// Cipher implementations (AES-128/256, 3DES, OFB).
 pub use thrifty_crypto as crypto;
-/// Video substrate (scenes, encoder model, NAL, packetizer, quality).
-pub use thrifty_video as video;
+/// Device power model (Section 6.3 substitute).
+pub use thrifty_energy as energy;
 /// Network substrate (DCF model, channels, wire formats, capture).
 pub use thrifty_net as net;
 /// MMPP and MMPP/G/1 queueing machinery.
 pub use thrifty_queueing as queueing;
-/// The paper's analytical framework (Section 4).
-pub use thrifty_analytic as analytic;
-/// Device power model (Section 6.3 substitute).
-pub use thrifty_energy as energy;
 /// The simulated testbed (Sections 5–6 substitute).
 pub use thrifty_sim as sim;
+/// Video substrate (scenes, encoder model, NAL, packetizer, quality).
+pub use thrifty_video as video;
 
 pub use advisor::{PolicyAdvisor, PrivacyPreference, Recommendation};
 pub use headline::{headline_metrics, HeadlineMetrics};

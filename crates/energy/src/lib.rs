@@ -198,8 +198,11 @@ mod tests {
     #[test]
     fn tdes_draws_more_than_aes() {
         let profile = SAMSUNG_GALAXY_S2_POWER;
-        let aes =
-            profile.power_w(&load(MotionLevel::High, Algorithm::Aes128, EncryptionMode::All));
+        let aes = profile.power_w(&load(
+            MotionLevel::High,
+            Algorithm::Aes128,
+            EncryptionMode::All,
+        ));
         let tdes = profile.power_w(&load(
             MotionLevel::High,
             Algorithm::TripleDes,

@@ -160,7 +160,12 @@ impl MetricsRegistry {
                 snap.spans.insert(stage.name().to_string(), s);
             }
         }
-        for (name, cell) in self.counters.lock().expect("counter registry poisoned").iter() {
+        for (name, cell) in self
+            .counters
+            .lock()
+            .expect("counter registry poisoned")
+            .iter()
+        {
             snap.counters.insert(name.clone(), cell.get());
         }
         for (name, cell) in self

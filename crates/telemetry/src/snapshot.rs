@@ -140,7 +140,10 @@ mod tests {
         let enc = s.span(Stage::Encrypt).expect("encrypt span present");
         assert_eq!(enc.count, 2);
         assert!((enc.total_s - 2e-4).abs() < 1e-18);
-        assert_eq!(s.histogram("delay_s").expect("histogram present").count(), 1);
+        assert_eq!(
+            s.histogram("delay_s").expect("histogram present").count(),
+            1
+        );
     }
 
     #[test]

@@ -199,7 +199,9 @@ impl RefreshingDecoder {
 /// In-place luma blend: `base ← base·(1−w) + target·w`.
 fn blend_into(base: &mut YuvFrame, target: &YuvFrame, w: f64) {
     for (b, &t) in base.y.iter_mut().zip(target.y.iter()) {
-        *b = ((*b as f64) * (1.0 - w) + (t as f64) * w).round().clamp(0.0, 255.0) as u8;
+        *b = ((*b as f64) * (1.0 - w) + (t as f64) * w)
+            .round()
+            .clamp(0.0, 255.0) as u8;
     }
 }
 
@@ -328,7 +330,10 @@ mod tests {
         let d_fast = distortion_vs_distance(&fast, 4);
         // Monotone (at least non-strictly) in distance.
         for w in d_fast.windows(2) {
-            assert!(w[1] >= w[0] * 0.9, "fast-motion distortion should grow: {d_fast:?}");
+            assert!(
+                w[1] >= w[0] * 0.9,
+                "fast-motion distortion should grow: {d_fast:?}"
+            );
         }
         // Fast motion dominates slow at every distance (Figure 2's ordering).
         for (s, f) in d_slow.iter().zip(d_fast.iter()) {
