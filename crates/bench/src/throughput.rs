@@ -42,76 +42,115 @@ impl CipherThroughput {
     }
 }
 
+/// Best-of samples [`measure_cipher_throughput`] takes of every pair.
+const ROUNDS: usize = 5;
+
+/// One (algorithm, backend) pair under measurement, with its buffers.
+struct Subject {
+    algorithm: Algorithm,
+    backend: CipherBackend,
+    cipher: SegmentCipher,
+    /// One buffer per segment of a call.
+    bufs: Vec<Vec<u8>>,
+    seqs: Vec<u64>,
+    /// Calls per timed batch.
+    iters: u64,
+    /// Fastest batch so far, seconds per call.
+    best: f64,
+}
+
+impl Subject {
+    /// Time `iters` calls: per segment on the scalar backends, one train
+    /// of `bufs.len()` segments per call on the bitsliced one.
+    fn time_batch(&mut self, iters: u64) -> Duration {
+        let train_segments = self.bufs.len() as u64;
+        // lint:allow(det-wall-clock): wall-clock here measures real cipher throughput; it never feeds simulated state or figure values
+        let start = Instant::now();
+        if train_segments == 1 {
+            let buf = &mut self.bufs[0];
+            for seq in 0..iters {
+                self.cipher.encrypt_segment(seq, buf);
+                std::hint::black_box(&**buf);
+            }
+        } else {
+            for it in 0..iters {
+                for (i, s) in self.seqs.iter_mut().enumerate() {
+                    *s = it * train_segments + i as u64;
+                }
+                let mut views: Vec<&mut [u8]> =
+                    self.bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                self.cipher.encrypt_train(&self.seqs, &mut views);
+                std::hint::black_box(&*views);
+            }
+        }
+        start.elapsed()
+    }
+}
+
 /// Measure every (algorithm × backend) pair encrypting `segment_len`-byte
 /// segments, spending roughly `budget` of wall time per pair.
 ///
-/// Uses the same protocol as the bench harness: calibrate an iteration
-/// count, then keep the fastest of three batches (minimum-of-batches
-/// rejects scheduler noise without needing long runs).
+/// Each pair's batch size is calibrated first; then the pairs are sampled
+/// round-robin, [`ROUNDS`] batches each, and each keeps its fastest batch
+/// (minimum-of-batches rejects scheduler noise without needing long runs).
+/// Taking the rounds in turn spreads each pair over the whole run, so a
+/// slow phase of a shared host hits every row alike rather than whichever
+/// pair it happened to coincide with, and the ratios between rows hold.
 pub fn measure_cipher_throughput(segment_len: usize, budget: Duration) -> Vec<CipherThroughput> {
     let key = [7u8; 32];
-    let mut out = Vec::new();
-    for alg in Algorithm::ALL {
-        for backend in CipherBackend::ALL {
-            let cipher = SegmentCipher::with_backend(alg, &key, backend)
-                .expect("32-byte key covers every algorithm");
-            // The scalar backends are quoted per segment, the bitsliced
-            // backend per 64-segment train — the unit the sim pipeline
-            // actually feeds it (one batched call per frame's fragments).
-            let train_segments = match backend {
-                CipherBackend::Bitsliced => LANES,
-                _ => 1,
-            };
-            let mut bufs: Vec<Vec<u8>> = (0..train_segments)
-                .map(|_| vec![0xA5u8; segment_len])
-                .collect();
-            let mut seqs = vec![0u64; train_segments];
-            let mut time_batch = |iters: u64, bufs: &mut Vec<Vec<u8>>| {
-                // lint:allow(det-wall-clock): wall-clock here measures real cipher throughput; it never feeds simulated state or figure values
-                let start = Instant::now();
-                if train_segments == 1 {
-                    let buf = &mut bufs[0];
-                    for seq in 0..iters {
-                        cipher.encrypt_segment(seq, buf);
-                        std::hint::black_box(&**buf);
-                    }
-                } else {
-                    for it in 0..iters {
-                        for (i, s) in seqs.iter_mut().enumerate() {
-                            *s = it * train_segments as u64 + i as u64;
-                        }
-                        let mut views: Vec<&mut [u8]> =
-                            bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-                        cipher.encrypt_train(&seqs, &mut views);
-                        std::hint::black_box(&*views);
-                    }
+    let mut subjects: Vec<Subject> = Algorithm::ALL
+        .iter()
+        .flat_map(|&algorithm| {
+            CipherBackend::ALL.iter().map(move |&backend| {
+                // The scalar backends are quoted per segment, the bitsliced
+                // backend per 64-segment train — the unit the sim pipeline
+                // feeds it (its lane groups fill 64 segments per call).
+                let train_segments = match backend {
+                    CipherBackend::Bitsliced => LANES,
+                    _ => 1,
+                };
+                Subject {
+                    algorithm,
+                    backend,
+                    cipher: SegmentCipher::with_backend(algorithm, &key, backend)
+                        .expect("32-byte key covers every algorithm"),
+                    bufs: vec![vec![0xA5u8; segment_len]; train_segments],
+                    seqs: vec![0u64; train_segments],
+                    iters: 1,
+                    best: f64::INFINITY,
                 }
-                start.elapsed()
-            };
-            // Calibration: grow the batch until it runs long enough to time.
-            let mut iters = 1u64;
-            let per_iter = loop {
-                let elapsed = time_batch(iters, &mut bufs);
-                if elapsed >= Duration::from_millis(5) || iters >= 1 << 22 {
-                    break elapsed.as_secs_f64() / iters as f64;
-                }
-                iters *= 4;
-            };
-            let batch =
-                ((budget.as_secs_f64() / 3.0 / per_iter.max(1e-12)) as u64).clamp(1, 1 << 22);
-            let best = (0..3)
-                .map(|_| time_batch(batch, &mut bufs).as_secs_f64() / batch as f64)
-                .fold(f64::INFINITY, f64::min);
-            out.push(CipherThroughput {
-                algorithm: alg,
-                backend,
-                segment_len,
-                train_segments,
-                bytes_per_sec: (segment_len * train_segments) as f64 / best,
-            });
+            })
+        })
+        .collect();
+    for subject in &mut subjects {
+        // Calibration: grow the batch until it runs long enough to time.
+        let mut iters = 1u64;
+        let per_iter = loop {
+            let elapsed = subject.time_batch(iters);
+            if elapsed >= Duration::from_millis(5) || iters >= 1 << 22 {
+                break elapsed.as_secs_f64() / iters as f64;
+            }
+            iters *= 4;
+        };
+        subject.iters =
+            ((budget.as_secs_f64() / ROUNDS as f64 / per_iter.max(1e-12)) as u64).clamp(1, 1 << 22);
+    }
+    for _ in 0..ROUNDS {
+        for subject in &mut subjects {
+            let per_call = subject.time_batch(subject.iters).as_secs_f64() / subject.iters as f64;
+            subject.best = subject.best.min(per_call);
         }
     }
-    out
+    subjects
+        .into_iter()
+        .map(|s| CipherThroughput {
+            algorithm: s.algorithm,
+            backend: s.backend,
+            segment_len,
+            train_segments: s.bufs.len(),
+            bytes_per_sec: (segment_len * s.bufs.len()) as f64 / s.best,
+        })
+        .collect()
 }
 
 /// Render the `BENCH_cipher.json` document: per-cipher/per-backend

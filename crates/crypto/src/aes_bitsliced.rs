@@ -470,8 +470,9 @@ fn last_round(s: &mut State, rk: &State) {
     }
 }
 
-/// In-place 64×64 bit-matrix transpose (Hacker's Delight §7-3 swapmove).
-fn transpose64(m: &mut [u64; LANES]) {
+/// In-place 64×64 bit-matrix transpose (Hacker's Delight §7-3 swapmove):
+/// bit `k` of `m[i]` trades places with bit `i` of `m[k]`.
+pub(crate) fn transpose64(m: &mut [u64; LANES]) {
     let mut j = 32usize;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
