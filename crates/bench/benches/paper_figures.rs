@@ -11,7 +11,10 @@ fn bench_figures(c: &mut Criterion) {
     group.sample_size(10);
     // One trial over a short clip: these benches time the harness per
     // figure (and smoke-test every pipeline); accuracy runs use `reproduce`.
-    let effort = Effort { trials: 1, frames: 60 };
+    let effort = Effort {
+        trials: 1,
+        frames: 60,
+    };
 
     group.bench_function("fig2_distortion_vs_distance", |b| {
         b.iter(|| black_box(fig2()))
@@ -34,12 +37,7 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| black_box(table2(effort)))
     });
     group.bench_function("fig10_power_samsung", |b| {
-        b.iter(|| {
-            black_box(fig10_11(
-                thrifty::energy::SAMSUNG_GALAXY_S2_POWER,
-                effort,
-            ))
-        })
+        b.iter(|| black_box(fig10_11(thrifty::energy::SAMSUNG_GALAXY_S2_POWER, effort)))
     });
     group.bench_function("fig12_tcp_delay_samsung", |b| {
         b.iter(|| {

@@ -51,8 +51,8 @@ fn nal_bitstream(c: &mut Criterion) {
 
 fn packetizer(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-    let stream =
-        thrifty::video::encoder::StatisticalEncoder::new(MotionLevel::High, 30).encode(300, &mut rng);
+    let stream = thrifty::video::encoder::StatisticalEncoder::new(MotionLevel::High, 30)
+        .encode(300, &mut rng);
     c.bench_function("packetize_300_frames", |b| {
         b.iter(|| black_box(Packetizer::default().packetize(black_box(&stream))))
     });
@@ -73,8 +73,10 @@ fn solvers(c: &mut Criterion) {
     c.bench_function("distortion_state_chain", |b| {
         b.iter(|| {
             black_box(
-                thrifty::analytic::distortion::DistortionModel::new(&params, &scene)
-                    .predict(policy, thrifty::analytic::distortion::Observer::Eavesdropper),
+                thrifty::analytic::distortion::DistortionModel::new(&params, &scene).predict(
+                    policy,
+                    thrifty::analytic::distortion::Observer::Eavesdropper,
+                ),
             )
         })
     });
@@ -115,7 +117,13 @@ fn wait_distribution(c: &mut Criterion) {
 fn traffic_classifier(c: &mut Criterion) {
     use thrifty::net::traffic::SizeClassifier;
     let sizes: Vec<usize> = (0..1000)
-        .map(|i| if i % 30 < 10 { 1460 } else { 120 + (i % 7) * 30 })
+        .map(|i| {
+            if i % 30 < 10 {
+                1460
+            } else {
+                120 + (i % 7) * 30
+            }
+        })
         .collect();
     c.bench_function("size_classifier_fit_1000", |b| {
         b.iter(|| black_box(SizeClassifier::fit(black_box(&sizes))))

@@ -75,13 +75,37 @@ use thrifty_bench::*;
 
 /// Every figure/table selector the binary understands.
 const SUBCOMMANDS: [&str; 21] = [
-    "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "headline", "ablations", "faults", "fleet", "fountain", "chaos",
+    "fig2",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table2",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "headline",
+    "ablations",
+    "faults",
+    "fleet",
+    "fountain",
+    "chaos",
     "all",
 ];
 
 /// Every flag the binary understands (`--metrics` takes a path value).
-const FLAGS: [&str; 5] = ["--full", "--json", "--no-bench-json", "--quick", "--metrics"];
+const FLAGS: [&str; 5] = [
+    "--full",
+    "--json",
+    "--no-bench-json",
+    "--quick",
+    "--metrics",
+];
 
 fn usage() -> String {
     format!(
@@ -116,15 +140,14 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let skip_bench_json = args.iter().any(|a| a == "--no-bench-json");
     let metrics_value_idx = args.iter().position(|a| a == "--metrics").map(|i| i + 1);
-    let metrics_path: Option<String> = metrics_value_idx.map(|i| {
-        match args.get(i).filter(|a| !a.starts_with("--")) {
+    let metrics_path: Option<String> =
+        metrics_value_idx.map(|i| match args.get(i).filter(|a| !a.starts_with("--")) {
             Some(path) => path.clone(),
             None => {
                 eprintln!("--metrics requires a file path argument");
                 std::process::exit(2);
             }
-        }
-    });
+        });
     let metrics_on = metrics_path.is_some();
     // Reject anything the binary does not understand: a typo must fail
     // loudly instead of silently skipping the figure it meant to run.
@@ -142,7 +165,11 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let effort = if full { Effort::full() } else { Effort::quick() };
+    let effort = if full {
+        Effort::full()
+    } else {
+        Effort::quick()
+    };
     let emit = |t: &Table| {
         if json {
             println!("{}", t.to_json());

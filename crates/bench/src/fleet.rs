@@ -517,8 +517,7 @@ mod tests {
                 cell.label
             );
             assert!(
-                cell.snapshot.counter(SolveCache::HITS)
-                    > cell.snapshot.counter(SolveCache::MISSES),
+                cell.snapshot.counter(SolveCache::HITS) > cell.snapshot.counter(SolveCache::MISSES),
                 "{}: the hot loop must be cache hits",
                 cell.label
             );

@@ -169,15 +169,15 @@ impl Table {
                     .values
                     .iter()
                     .map(|(k, v)| {
-                        let num = if v.is_finite() { format!("{v}") } else { "null".into() };
+                        let num = if v.is_finite() {
+                            format!("{v}")
+                        } else {
+                            "null".into()
+                        };
                         format!("\"{}\": {}", esc(k), num)
                     })
                     .collect();
-                format!(
-                    "{{\"label\": \"{}\", {}}}",
-                    esc(&r.label),
-                    vals.join(", ")
-                )
+                format!("{{\"label\": \"{}\", {}}}", esc(&r.label), vals.join(", "))
             })
             .collect();
         format!(
@@ -367,8 +367,7 @@ pub fn fig5(gop: usize, effort: Effort) -> Table {
     });
     Table {
         title: format!("Figure 5 — eavesdropper Mean Opinion Score, GOP={gop}"),
-        caption: "Paper: MOS drops to ≈1 (unviewable) for every partially encrypted flow."
-            .into(),
+        caption: "Paper: MOS drops to ≈1 (unviewable) for every partially encrypted flow.".into(),
         rows,
     }
 }
@@ -401,7 +400,15 @@ pub fn fig7_8_with(
     }
     let results = par_map(&cells, |&(alg, gop, label, motion, mode)| {
         let policy = Policy::new(alg, mode);
-        let cfg = cell(motion, gop, policy, device, power, Transport::RtpUdp, effort);
+        let cfg = cell(
+            motion,
+            gop,
+            policy,
+            device,
+            power,
+            Transport::RtpUdp,
+            effort,
+        );
         let exp = Experiment::prepare(cfg);
         let analysis = DelayModel::new(&exp.params).predict(policy).unwrap();
         let registry = MetricsRegistry::new(metrics);
@@ -610,7 +617,15 @@ pub fn fig12_13_with(
     }
     let results = par_map(&cells, |&(alg, gop, label, motion, mode)| {
         let policy = Policy::new(alg, mode);
-        let cfg = cell(motion, gop, policy, device, power, Transport::HttpTcp, effort);
+        let cfg = cell(
+            motion,
+            gop,
+            policy,
+            device,
+            power,
+            Transport::HttpTcp,
+            effort,
+        );
         let registry = MetricsRegistry::new(metrics);
         let result = Experiment::prepare(cfg).run_metered(&registry);
         let row = Row {
@@ -852,16 +867,14 @@ pub fn ablation_channel_burstiness() -> Table {
              (iid {p_d:.3} vs GE {ge_mean:.3}), burstiness changes the I-frame \
              success probability — the gap bounds the model bias on bursty channels."
         ),
-        rows: vec![
-            Row {
-                label: "I-frame success".into(),
-                values: vec![
-                    ("eq. (20) prediction".into(), pred_i),
-                    ("iid channel (MC)".into(), bern_rate),
-                    ("Gilbert–Elliott (MC)".into(), ge_rate),
-                ],
-            },
-        ],
+        rows: vec![Row {
+            label: "I-frame success".into(),
+            values: vec![
+                ("eq. (20) prediction".into(), pred_i),
+                ("iid channel (MC)".into(), bern_rate),
+                ("Gilbert–Elliott (MC)".into(), ge_rate),
+            ],
+        }],
     }
 }
 
@@ -949,8 +962,14 @@ pub fn ablation_producer_loop(effort: Effort) -> Table {
             .map(|(loop_label, closed)| Row {
                 label: format!("{label}, {loop_label}"),
                 values: vec![
-                    ("I delay (ms)".into(), mean(EncryptionMode::IFrames, closed, &mut rng)),
-                    ("P delay (ms)".into(), mean(EncryptionMode::PFrames, closed, &mut rng)),
+                    (
+                        "I delay (ms)".into(),
+                        mean(EncryptionMode::IFrames, closed, &mut rng),
+                    ),
+                    (
+                        "P delay (ms)".into(),
+                        mean(EncryptionMode::PFrames, closed, &mut rng),
+                    ),
                 ],
             })
             .collect()
@@ -1155,10 +1174,7 @@ mod tests {
         assert!(json.contains("\"PSNR (dB)\": 7.5"));
         assert!(json.contains("\"bad\": null"));
         // Braces balance.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count()
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
@@ -1186,7 +1202,10 @@ mod tests {
             "refresh must lift fast/I PSNR: {frame_copy} -> {refresh}"
         );
         let slow = t.rows.iter().find(|r| r.label.starts_with("slow")).unwrap();
-        assert!((slow.values[0].1 - slow.values[1].1).abs() < 1.0, "slow barely moves");
+        assert!(
+            (slow.values[0].1 - slow.values[1].1).abs() < 1.0,
+            "slow barely moves"
+        );
     }
 
     #[test]
@@ -1204,14 +1223,7 @@ mod tests {
     #[test]
     fn ablation_d_tails_widen_with_load() {
         let t = ablation_percentiles();
-        let p99 = |label: &str| {
-            t.rows
-                .iter()
-                .find(|r| r.label == label)
-                .unwrap()
-                .values[3]
-                .1
-        };
+        let p99 = |label: &str| t.rows.iter().find(|r| r.label == label).unwrap().values[3].1;
         assert!(p99("none") < p99("I"));
         assert!(p99("I") < p99("all"));
         // p99 exceeds the mean for every policy.
@@ -1305,7 +1317,11 @@ mod tests {
         assert!(json.contains("\"end_to_end\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let (_, m2) = table2_with(effort, true);
-        assert_eq!(json, m2.expect("metrics").to_json(), "byte-identical reruns");
+        assert_eq!(
+            json,
+            m2.expect("metrics").to_json(),
+            "byte-identical reruns"
+        );
     }
 
     #[test]

@@ -326,17 +326,19 @@ mod tests {
         let ciphers: Vec<CipherThroughput> = Algorithm::ALL
             .iter()
             .flat_map(|&algorithm| {
-                CipherBackend::ALL.iter().map(move |&backend| CipherThroughput {
-                    algorithm,
-                    backend,
-                    segment_len: 1452,
-                    train_segments: if backend == CipherBackend::Bitsliced {
-                        LANES
-                    } else {
-                        1
-                    },
-                    bytes_per_sec: 1e8,
-                })
+                CipherBackend::ALL
+                    .iter()
+                    .map(move |&backend| CipherThroughput {
+                        algorithm,
+                        backend,
+                        segment_len: 1452,
+                        train_segments: if backend == CipherBackend::Bitsliced {
+                            LANES
+                        } else {
+                            1
+                        },
+                        bytes_per_sec: 1e8,
+                    })
             })
             .collect();
         let json = bench_cipher_json(&ciphers, &[("table2".to_string(), 0.5)]);

@@ -4,8 +4,8 @@
 //! output *and* byte-identical telemetry snapshots — and switching metrics
 //! off must not move a single figure value.
 
-use thrifty_bench::{fig12_13_with, fig7_8_with, table2_with, Effort, Table};
 use thrifty_analytic::params::SAMSUNG_GALAXY_S2;
+use thrifty_bench::{fig12_13_with, fig7_8_with, table2_with, Effort, Table};
 use thrifty_energy::SAMSUNG_GALAXY_S2_POWER;
 
 fn smoke_effort() -> Effort {
@@ -29,8 +29,10 @@ fn assert_tables_byte_identical(a: &Table, b: &Table) {
 #[test]
 fn metered_double_run_is_byte_identical() {
     let effort = smoke_effort();
-    let (table_a, metrics_a) = fig7_8_with(SAMSUNG_GALAXY_S2, SAMSUNG_GALAXY_S2_POWER, effort, true);
-    let (table_b, metrics_b) = fig7_8_with(SAMSUNG_GALAXY_S2, SAMSUNG_GALAXY_S2_POWER, effort, true);
+    let (table_a, metrics_a) =
+        fig7_8_with(SAMSUNG_GALAXY_S2, SAMSUNG_GALAXY_S2_POWER, effort, true);
+    let (table_b, metrics_b) =
+        fig7_8_with(SAMSUNG_GALAXY_S2, SAMSUNG_GALAXY_S2_POWER, effort, true);
     assert_tables_byte_identical(&table_a, &table_b);
     assert_eq!(
         metrics_a.expect("metrics on").to_json(),
