@@ -1,6 +1,8 @@
 //! Bitsliced AES-128/256 — constant-time by construction, 64 blocks per call.
 //!
-//! The third [`CipherBackend`](crate::CipherBackend) tier. Where the
+//! The third [`CipherBackend`](crate::CipherBackend) tier, and the core
+//! [`CipherBackend::Fast`](crate::CipherBackend) AES hands each full
+//! [`LANES`]-segment group of a train to. Where the
 //! [`aes_fast`](crate::aes_fast) backend trades side-channel hygiene for
 //! speed (its T-tables index secret bytes into cache lines), this module
 //! evaluates the cipher as a boolean circuit over 64-bit planes: **no

@@ -1,4 +1,6 @@
-//! Table-driven AES — the fast backend behind [`crate::CipherBackend::Fast`].
+//! Table-driven AES — the fast backend behind [`crate::CipherBackend::Fast`]
+//! for single segments and the remainder of a train past its full
+//! 64-segment groups, which go to [`crate::aes_bitsliced`].
 //!
 //! The byte-oriented reference in [`crate::aes`] recomputes SubBytes,
 //! ShiftRows and MixColumns field arithmetic for every byte of every round.
