@@ -103,7 +103,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use thrifty_analytic::policy::Policy;
 use thrifty_crypto::{MeteredSegmentCipher, SegmentCipher};
 use thrifty_faults::{FaultPlan, FaultStats, PacketInjector, QueueFaults, ReceiverFaults};
@@ -394,11 +394,15 @@ pub(crate) fn originals(frames: &[InputFrame]) -> Originals<'_> {
     frames.iter().map(|f| (f.index, &f.nal)).collect()
 }
 
+/// A delivered packet: one allocation that every observer storing it
+/// shares.
+type SharedPacket = Arc<Vec<u8>>;
+
 /// One stored fragment: the packet that carried it, kept whole, and where
 /// its body starts behind the [`FragmentHeader`].
 #[derive(Debug)]
 struct Fragment {
-    packet: Vec<u8>,
+    packet: SharedPacket,
     body_at: usize,
 }
 
@@ -468,10 +472,15 @@ pub(crate) struct Reassembler {
 }
 
 impl Reassembler {
-    /// Store one packet, moved in whole: `packet[body_at..]` is a
-    /// [`FragmentHeader`] followed by the fragment body. A later copy of
+    /// Store one packet, moved or shared in whole: `packet[body_at..]` is
+    /// a [`FragmentHeader`] followed by the fragment body. A later copy of
     /// the same fragment replaces the earlier one.
-    pub(crate) fn insert(&mut self, packet: Vec<u8>, body_at: usize) -> Result<(), WireError> {
+    pub(crate) fn insert(
+        &mut self,
+        packet: impl Into<SharedPacket>,
+        body_at: usize,
+    ) -> Result<(), WireError> {
+        let packet = packet.into();
         let (header, _) = FragmentHeader::parse(packet.get(body_at..).unwrap_or_default())?;
         let frame = header.frame as usize;
         let entry = self.frames.entry(frame).or_default();
@@ -657,7 +666,7 @@ fn run_pipeline_grouped(
     };
     let mut receiver = Observer::new(metrics.counter("pipeline.erasures.receiver"));
 
-    let (tx, rx) = mpsc::channel::<Vec<Vec<u8>>>();
+    let (tx, rx) = mpsc::channel::<Vec<SharedPacket>>();
     let frames = frames.as_slice();
     let originals = originals(frames);
     let originals = &originals;
@@ -728,7 +737,7 @@ impl Sender {
         mut self,
         frames: &[InputFrame],
         originals: &Originals<'_>,
-        tx: &mpsc::Sender<Vec<Vec<u8>>>,
+        tx: &mpsc::Sender<Vec<SharedPacket>>,
     ) -> SenderReport {
         let mut dropped = Vec::new();
         let _hung_up = self.send(frames, originals, tx, &mut dropped);
@@ -750,9 +759,9 @@ impl Sender {
         &mut self,
         frames: &[InputFrame],
         originals: &Originals<'_>,
-        tx: &mpsc::Sender<Vec<Vec<u8>>>,
+        tx: &mpsc::Sender<Vec<SharedPacket>>,
         dropped: &mut Vec<usize>,
-    ) -> Result<(), mpsc::SendError<Vec<Vec<u8>>>> {
+    ) -> Result<(), mpsc::SendError<Vec<SharedPacket>>> {
         let lead_in = self.encryptor.lead_in();
         let batch = self.air.carry(lead_in);
         self.deliver(batch, originals, tx)?;
@@ -778,8 +787,8 @@ impl Sender {
     fn transmit(
         &mut self,
         originals: &Originals<'_>,
-        tx: &mpsc::Sender<Vec<Vec<u8>>>,
-    ) -> Result<(), mpsc::SendError<Vec<Vec<u8>>>> {
+        tx: &mpsc::Sender<Vec<SharedPacket>>,
+    ) -> Result<(), mpsc::SendError<Vec<SharedPacket>>> {
         while let Some((train, ())) = self.encryptor.group.pop_ready() {
             let batch = self.air.carry(train);
             self.deliver(batch, originals, tx)?;
@@ -788,14 +797,17 @@ impl Sender {
     }
 
     /// Let the eavesdropper hear and settle one batch off the air, then
-    /// hand the batch to the receiver. The eavesdropper reads the wire
-    /// bytes before the receiver decrypts them in place.
+    /// hand the batch to the receiver. Each packet is wrapped once, with no
+    /// byte copied, so both observers store the one allocation the air
+    /// delivered; the eavesdropper reads the wire bytes before the receiver
+    /// decrypts the marked ones in place.
     fn deliver(
         &mut self,
         batch: Vec<Vec<u8>>,
         originals: &Originals<'_>,
-        tx: &mpsc::Sender<Vec<Vec<u8>>>,
-    ) -> Result<(), mpsc::SendError<Vec<Vec<u8>>>> {
+        tx: &mpsc::Sender<Vec<SharedPacket>>,
+    ) -> Result<(), mpsc::SendError<Vec<SharedPacket>>> {
+        let batch: Vec<SharedPacket> = batch.into_iter().map(Arc::new).collect();
         self.eavesdropper.hear(&batch, originals);
         tx.send(batch)
     }
@@ -805,7 +817,7 @@ impl Sender {
 struct Encryptor {
     cipher: MeteredSegmentCipher,
     /// Trains held until their selected bodies fill the cipher's lanes.
-    group: LaneGroup<()>,
+    group: LaneGroup<Vec<u8>, ()>,
     policy: Policy,
     mtu_payload: usize,
     /// The per-frame policy draws.
@@ -936,16 +948,16 @@ impl Encryptor {
 /// original order and boundaries. Per-segment OFB depends only on the
 /// key, the segment number and the bytes, so the grouping changes no
 /// output byte.
-struct LaneGroup<T> {
+struct LaneGroup<P, T> {
     lanes: usize,
-    held: VecDeque<Held<T>>,
+    held: VecDeque<Held<P, T>>,
     /// Bodies held and not yet ciphered.
     queued: usize,
 }
 
 /// One train in a [`LaneGroup`].
-struct Held<T> {
-    packets: Vec<Vec<u8>>,
+struct Held<P, T> {
+    packets: Vec<P>,
     /// The packet index and segment number of each body to cipher, in
     /// packet order.
     work: Vec<(usize, u64)>,
@@ -955,7 +967,32 @@ struct Held<T> {
     tag: T,
 }
 
-impl<T> LaneGroup<T> {
+/// A packet a [`LaneGroup`] holds: the encryptor's own `Vec`, or a
+/// [`SharedPacket`] the receiver took off the channel.
+trait HeldPacket {
+    /// The cipher body behind the RTP and fragment headers, if the packet
+    /// is long enough to carry one.
+    fn body_mut(&mut self) -> Option<&mut [u8]>;
+}
+
+impl HeldPacket for Vec<u8> {
+    fn body_mut(&mut self) -> Option<&mut [u8]> {
+        self.get_mut(RTP_HEADER_LEN + FRAG_HEADER_LEN..)
+    }
+}
+
+impl HeldPacket for SharedPacket {
+    /// Reached through [`Arc::make_mut`], which copies nothing here: only
+    /// marked packets are ciphered, and the eavesdropper keeps none of
+    /// them. Were one ever shared, the receiver would decrypt a private
+    /// copy and the other holder would keep the ciphertext, never the
+    /// plaintext.
+    fn body_mut(&mut self) -> Option<&mut [u8]> {
+        Arc::make_mut(self).body_mut()
+    }
+}
+
+impl<P: HeldPacket, T> LaneGroup<P, T> {
     fn new(lanes: usize) -> Self {
         LaneGroup {
             lanes: lanes.max(1),
@@ -966,7 +1003,7 @@ impl<T> LaneGroup<T> {
 
     /// Hold `packets`, whose bodies (behind the RTP and fragment headers)
     /// listed in `work` still need the cipher.
-    fn push(&mut self, packets: Vec<Vec<u8>>, work: Vec<(usize, u64)>, tag: T) {
+    fn push(&mut self, packets: Vec<P>, work: Vec<(usize, u64)>, tag: T) {
         self.queued += work.len();
         self.held.push_back(Held {
             packets,
@@ -997,7 +1034,7 @@ impl<T> LaneGroup<T> {
                 for &(index, seq) in work {
                     let body = packets
                         .find(|(i, _)| *i == index)
-                        .and_then(|(_, pkt)| pkt.get_mut(RTP_HEADER_LEN + FRAG_HEADER_LEN..));
+                        .and_then(|(_, pkt)| pkt.body_mut());
                     if let Some(body) = body {
                         seqs.push(seq);
                         bodies.push(body);
@@ -1013,7 +1050,7 @@ impl<T> LaneGroup<T> {
     }
 
     /// The oldest held train and its tag, once all its bodies are done.
-    fn pop_ready(&mut self) -> Option<(Vec<Vec<u8>>, T)> {
+    fn pop_ready(&mut self) -> Option<(Vec<P>, T)> {
         let front = self.held.front()?;
         if front.done < front.work.len() {
             return None;
@@ -1082,7 +1119,7 @@ struct Decryptor {
     cipher: MeteredSegmentCipher,
     /// Batches held, with their arrivals, until their fresh bodies fill
     /// the cipher's lanes.
-    group: LaneGroup<Vec<Arrival>>,
+    group: LaneGroup<SharedPacket, Vec<Arrival>>,
     stale_cipher: SegmentCipher,
     faults: ReceiverFaults,
     resync: Option<ResyncState>,
@@ -1167,10 +1204,13 @@ impl Observer {
         }
     }
 
-    /// The eavesdropper's ear: store a copy of each clear packet in `batch`
-    /// as heard, then settle the frames it touched. Without the session
-    /// key every marked packet is an erasure.
-    fn hear(&mut self, batch: &[Vec<u8>], originals: &Originals<'_>) {
+    /// The eavesdropper's ear: store each clear packet in `batch` as heard,
+    /// sharing the receiver's allocation rather than copying it (its body
+    /// starts right behind the RTP header, as [`RtpPacket::payload`] does),
+    /// then settle the frames it touched. Without the session key every
+    /// marked packet is an erasure and is never kept, so the receiver holds
+    /// the only handle on each packet it decrypts in place.
+    fn hear(&mut self, batch: &[SharedPacket], originals: &Originals<'_>) {
         for wire in batch {
             let Ok(pkt) = RtpPacket::parse(wire.as_slice()) else {
                 self.erasures.rtp_malformed += 1;
@@ -1183,7 +1223,7 @@ impl Observer {
                 self.erasures.marked_undecryptable += 1;
                 continue;
             }
-            self.store_fragment(pkt.payload().to_vec(), 0);
+            self.store_fragment(Arc::clone(wire), RTP_HEADER_LEN);
         }
         self.store.settle(originals);
     }
@@ -1199,7 +1239,7 @@ impl Observer {
     /// frames it touched are settled.
     fn receive(
         &mut self,
-        mut batch: Vec<Vec<u8>>,
+        mut batch: Vec<SharedPacket>,
         decryptor: &mut Decryptor,
         originals: &Originals<'_>,
     ) {
@@ -1229,17 +1269,20 @@ impl Observer {
             .collect();
         let mut work = Vec::new();
         for (index, (wire, &arrival)) in batch.iter_mut().zip(&arrivals).enumerate() {
-            let body = wire.get_mut(RTP_HEADER_LEN + FRAG_HEADER_LEN..);
-            match (arrival, body) {
-                (Arrival::Fresh(sequence), Some(_)) => work.push((index, u64::from(sequence))),
+            match arrival {
+                // A marked arrival carries at least a fragment header, so
+                // it has a body to cipher.
+                Arrival::Fresh(sequence) => work.push((index, u64::from(sequence))),
                 // Out-of-date key: decryption "succeeds" but produces
                 // garbage, which the Annex-B reassembly rejects downstream.
-                (Arrival::Stale(sequence), Some(body)) => {
-                    decryptor
-                        .stale_cipher
-                        .decrypt_segment(u64::from(sequence), body);
+                Arrival::Stale(sequence) => {
+                    if let Some(body) = wire.body_mut() {
+                        decryptor
+                            .stale_cipher
+                            .decrypt_segment(u64::from(sequence), body);
+                    }
                 }
-                _ => {}
+                Arrival::Erased | Arrival::Clear => {}
             }
         }
         decryptor.group.push(batch, work, arrivals);
@@ -1262,7 +1305,7 @@ impl Observer {
 
     /// Store one packet whose fragment starts at `body_at`; a malformed
     /// one is an erasure.
-    fn store_fragment(&mut self, packet: Vec<u8>, body_at: usize) {
+    fn store_fragment(&mut self, packet: SharedPacket, body_at: usize) {
         if self.store.insert(packet, body_at).is_err() {
             self.erasures.frag_malformed += 1;
             self.erasure_counter.inc();
@@ -1471,6 +1514,123 @@ mod tests {
         );
         assert_eq!(out.receiver.frames_ok.len(), 10);
         assert!(out.eavesdropper.frames_ok.is_empty());
+    }
+
+    // ---- the observers' shared packets ---------------------------------
+
+    /// `input` as one RTP packet with sequence number `input.index`, marked
+    /// and encrypted if a `cipher` is given.
+    fn single_packet(input: &InputFrame, cipher: Option<&SegmentCipher>) -> Vec<u8> {
+        let mut pkt = vec![0; RTP_HEADER_LEN];
+        pkt.extend_from_slice(&FragmentHeader::new(input.index as u32, 0, 1).emit());
+        pkt.extend_from_slice(&write_annex_b(std::slice::from_ref(&input.nal)));
+        let sequence = input.index as u16;
+        if let Some(cipher) = cipher {
+            cipher.encrypt_segment(
+                u64::from(sequence),
+                &mut pkt[RTP_HEADER_LEN + FRAG_HEADER_LEN..],
+            );
+        }
+        RtpHeader {
+            marker: cipher.is_some(),
+            payload_type: 96,
+            sequence,
+            timestamp: 0,
+            ssrc: 0x7E57,
+        }
+        .write_into(&mut pkt)
+        .expect("header room reserved");
+        pkt
+    }
+
+    /// The packet `observer` stores as frame `frame`'s first fragment.
+    fn stored(observer: &Observer, frame: usize) -> Option<&SharedPacket> {
+        let entry = observer.store.frames.get(&frame)?;
+        entry.fragments.get(&0).map(|fragment| &fragment.packet)
+    }
+
+    #[test]
+    fn observers_share_clear_packets_and_the_eavesdropper_keeps_no_marked_one() {
+        let input: Vec<InputFrame> = (0..3)
+            .map(|i| InputFrame::synthetic(i, FrameType::I, 400))
+            .collect();
+        let originals = originals(&input);
+        let metrics = metrics_off();
+        let cipher = SegmentCipher::new(Algorithm::Aes256, &SESSION_KEY).expect("session key");
+        // A stale-key site that misses the first marked packet and hits the
+        // second.
+        let plan = (0..)
+            .map(|seed| FaultPlan::none(seed).with_stale_key(0.5))
+            .find(|plan| {
+                let mut site = ReceiverFaults::new(plan, &metrics);
+                !site.stale_hit() && site.stale_hit()
+            })
+            .expect("some seed draws a miss, then a hit");
+        // One batch: frame 0 clear, frames 1 and 2 marked.
+        let batch: Vec<SharedPacket> = [
+            single_packet(&input[0], None),
+            single_packet(&input[1], Some(&cipher)),
+            single_packet(&input[2], Some(&cipher)),
+        ]
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+        let sent: Vec<*const Vec<u8>> = batch.iter().map(Arc::as_ptr).collect();
+
+        let mut eavesdropper = Observer::new(metrics.counter("eavesdropper"));
+        eavesdropper.hear(&batch, &originals);
+        assert!(
+            stored(&eavesdropper, 0).is_some_and(|pkt| Arc::ptr_eq(pkt, &batch[0])),
+            "the eavesdropper stores the delivered clear packet, not a copy"
+        );
+        assert!(
+            stored(&eavesdropper, 1).is_none() && stored(&eavesdropper, 2).is_none(),
+            "the eavesdropper stores no marked packet"
+        );
+        assert_eq!(eavesdropper.erasures.marked_undecryptable, 2);
+        for marked in &batch[1..] {
+            assert_eq!(
+                Arc::strong_count(marked),
+                1,
+                "a marked packet reaches the receiver's cipher unshared"
+            );
+        }
+
+        let mut decryptor = Decryptor {
+            group: LaneGroup::new(cipher.train_lanes()),
+            cipher: cipher.clone().metered(&metrics),
+            stale_cipher: SegmentCipher::new(Algorithm::Aes256, &STALE_KEY).expect("stale key"),
+            faults: ReceiverFaults::new(&plan, &metrics),
+            resync: None,
+        };
+        let mut receiver = Observer::new(metrics.counter("receiver"));
+        receiver.receive(batch, &mut decryptor, &originals);
+        decryptor.decrypt_held(true);
+        receiver.store_ready(&mut decryptor, &originals);
+        assert_eq!(decryptor.faults.stats().stale_key_hits, 1);
+
+        let clear = stored(&receiver, 0).expect("receiver stores the clear packet");
+        let heard = stored(&eavesdropper, 0).expect("eavesdropper stores it too");
+        assert!(
+            Arc::ptr_eq(clear, heard),
+            "both stores hold one allocation of the clear packet"
+        );
+        assert_eq!(Arc::strong_count(clear), 2);
+        for frame in [1, 2] {
+            let marked = stored(&receiver, frame).expect("receiver stores the marked packet");
+            assert_eq!(
+                Arc::as_ptr(marked),
+                sent[frame],
+                "frame {frame} was deciphered in place, not in a copy"
+            );
+        }
+        let seen = receiver.store.reconstruct(&originals);
+        assert_eq!((seen.frames_ok, seen.frames_damaged), (vec![0, 1], vec![2]));
+        let heard = eavesdropper.store.reconstruct(&originals);
+        assert_eq!(
+            (heard.frames_ok, heard.frames_damaged),
+            (vec![0], vec![1, 2])
+        );
     }
 
     // ---- the reassembler's verdict cache -------------------------------
