@@ -168,8 +168,16 @@ mod tests {
     #[test]
     fn drains_in_global_time_order() {
         let machines = vec![
-            Pacer { gap: 0.3, count: 3, done: 0 },
-            Pacer { gap: 0.5, count: 2, done: 0 },
+            Pacer {
+                gap: 0.3,
+                count: 3,
+                done: 0,
+            },
+            Pacer {
+                gap: 0.5,
+                count: 2,
+                done: 0,
+            },
         ];
         let mut exec = Executor::new(machines, 0);
         let mut trace = Vec::new();
@@ -194,7 +202,13 @@ mod tests {
     fn simultaneous_events_dispatch_in_flow_order() {
         // Same gap -> every event of a round collides on the clock; flow id
         // must break the tie.
-        let machines = (0..4).map(|_| Pacer { gap: 1.0, count: 2, done: 0 }).collect();
+        let machines = (0..4)
+            .map(|_| Pacer {
+                gap: 1.0,
+                count: 2,
+                done: 0,
+            })
+            .collect();
         let mut exec = Executor::new(machines, 10);
         let mut trace = Vec::new();
         exec.run(&mut trace);
@@ -206,7 +220,11 @@ mod tests {
     fn offset_flow_range_matches_zero_based_run() {
         let run_with_offset = |offset: u64| {
             let machines = (0..3)
-                .map(|i| Pacer { gap: 0.1 * (i + 1) as f64, count: 3, done: 0 })
+                .map(|i| Pacer {
+                    gap: 0.1 * (i + 1) as f64,
+                    count: 3,
+                    done: 0,
+                })
                 .collect();
             let mut exec = Executor::new(machines, offset);
             let mut trace = Vec::new();
@@ -253,7 +271,14 @@ mod tests {
 
     #[test]
     fn machines_are_recoverable_after_the_drain() {
-        let mut exec = Executor::new(vec![Pacer { gap: 1.0, count: 4, done: 0 }], 0);
+        let mut exec = Executor::new(
+            vec![Pacer {
+                gap: 1.0,
+                count: 4,
+                done: 0,
+            }],
+            0,
+        );
         let mut trace = Vec::new();
         exec.run(&mut trace);
         assert_eq!(exec.dispatched(), 4);
