@@ -205,7 +205,11 @@ impl PacketInjector {
             return false;
         };
         // Transition first, then a loss draw in the (possibly new) state.
-        let flip = if b.in_burst { b.cfg.p_exit } else { b.cfg.p_enter };
+        let flip = if b.in_burst {
+            b.cfg.p_exit
+        } else {
+            b.cfg.p_enter
+        };
         if b.rng.gen_bool(flip) {
             b.in_burst = !b.in_burst;
         }
@@ -538,11 +542,11 @@ mod tests {
                 .map(|v| v.first().cloned())
                 .collect::<Vec<_>>()
         };
-        let a: Vec<Vec<u8>> = corrupt_pattern(&just_corrupt).into_iter().flatten().collect();
-        let b: Vec<Vec<u8>> = corrupt_pattern(&both)
+        let a: Vec<Vec<u8>> = corrupt_pattern(&just_corrupt)
             .into_iter()
             .flatten()
             .collect();
+        let b: Vec<Vec<u8>> = corrupt_pattern(&both).into_iter().flatten().collect();
         assert_eq!(a, b, "duplication must not shift the corruption stream");
     }
 

@@ -148,7 +148,10 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::BadProbability { what, value } => {
-                write!(f, "fault plan: {what} = {value} is not a probability in [0, 1]")
+                write!(
+                    f,
+                    "fault plan: {what} = {value} is not a probability in [0, 1]"
+                )
             }
             PlanError::ZeroParameter { what } => {
                 write!(f, "fault plan: {what} must be non-zero")
