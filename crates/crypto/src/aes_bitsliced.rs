@@ -12,7 +12,7 @@
 //!
 //! ## Representation
 //!
-//! A [`State`] is 8 bit-planes × 16 byte-positions. Plane `b`, position
+//! A `State` is 8 bit-planes × 16 byte-positions. Plane `b`, position
 //! `i` holds bit `b` (LSB-first) of state byte `i` — FIPS-197 column-major
 //! order, `i = row + 4·col` — for all 64 lanes packed along the `u64`.
 //! Transposition in/out of this layout is a pair of 64×64 bit transposes
@@ -25,7 +25,7 @@
 //! layer). The paper's convention is MSB-first (`x0` = bit 7), so circuit
 //! wires map to planes reversed. The bottom linear layer here was solved
 //! for this exact middle layer by Gaussian elimination over GF(2) against
-//! the FIPS S-box table — [`tests::sbox_circuit_matches_table`] replays
+//! the FIPS S-box table — `tests::sbox_circuit_matches_table` replays
 //! that proof over all 256 inputs on every test run.
 //!
 //! ## Batched OFB

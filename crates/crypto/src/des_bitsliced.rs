@@ -18,7 +18,7 @@
 //! permutation is free:
 //!
 //! * **IP and IP⁻¹** are folded into which plane a transposed word bit
-//!   lands in ([`load`], [`store`]).
+//!   lands in (`load`, `store`).
 //! * **E** picks the six R planes each S-box reads; **P** picks the L
 //!   plane each S-box output is XORed into. Both are constant indices.
 //! * **PC-1 and PC-2** run once, in the scalar key schedule; each of the
@@ -37,7 +37,7 @@
 //! on an input bit into two half-size problems whose other halves are
 //! don't-cares. The four outputs share one gate pool; the smallest pool
 //! over every output order, with a three-level look-ahead on the split
-//! bit, is kept. [`tests::sbox_circuits_match_tables`] replays each
+//! bit, is kept. `tests::sbox_circuits_match_tables` replays each
 //! circuit against the `des::SBOXES` tables over all 64 inputs on every
 //! test run.
 //!

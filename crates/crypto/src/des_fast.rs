@@ -18,7 +18,7 @@
 //!   IP opening the next, so a block is one IP, 48 rounds (halves swapped
 //!   at pass boundaries) and one FP, each eight byte-table lookups.
 //! * **OFB stays permuted** — each OFB output block is the next input, so
-//!   [`TripleDesFast::ofb_xor_segment`] applies IP once per segment and FP
+//!   `TripleDesFast::ofb_xor_segment` applies IP once per segment and FP
 //!   once per keystream block, only to the bytes XORed into the payload.
 //!
 //! Bit-exactness is pinned by the tests below and in `tests/`: the DES

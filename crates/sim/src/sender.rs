@@ -172,7 +172,7 @@ impl<'a> SenderSim<'a> {
     /// Since the calendar port this is the **event-driven** path: the run
     /// builds one [`SenderFlowMachine`] and drains it on a private
     /// `thrifty-des` calendar — each packet is one event, dispatched at its
-    /// effective arrival time. The machine steps the same [`PipelineCore`]
+    /// effective arrival time. The machine steps the same `PipelineCore`
     /// the retained reference loop
     /// ([`run_metered_reference`](Self::run_metered_reference)) steps, so
     /// the two paths share every RNG draw and every arithmetic operation
@@ -562,7 +562,7 @@ impl<'a> PipelineCore<'a> {
 /// One sender flow as a calendar state machine: each event is one packet,
 /// keyed by its wire seq and dispatched at its **effective** arrival time.
 ///
-/// The handler steps the shared [`PipelineCore`] and schedules the next
+/// The handler steps the shared `PipelineCore` and schedules the next
 /// packet at its effective arrival — which is computable the moment the
 /// current packet leaves the Lindley recursion, and never earlier than the
 /// event being handled (effective arrivals are nondecreasing), so the

@@ -4,9 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check (crates formatted so far: thrifty-queueing, thrifty-sim, thrifty-crypto, thrifty-video, thrifty-telemetry, thrifty-energy, thrifty, thrifty-bench)"
+echo "==> cargo fmt --check (crates formatted so far: thrifty-queueing, thrifty-sim, thrifty-crypto, thrifty-video, thrifty-telemetry, thrifty-energy, thrifty, thrifty-bench, thrifty-des, thrifty-faults)"
 # Extend the -p list as each crate is formatted in a change of its own.
-cargo fmt --check -p thrifty-queueing -p thrifty-sim -p thrifty-crypto -p thrifty-video -p thrifty-telemetry -p thrifty-energy -p thrifty -p thrifty-bench
+cargo fmt --check -p thrifty-queueing -p thrifty-sim -p thrifty-crypto -p thrifty-video -p thrifty-telemetry -p thrifty-energy -p thrifty -p thrifty-bench -p thrifty-des -p thrifty-faults
+
+echo "==> cargo doc (no broken intra-doc links; crates fixed so far: thrifty-crypto, thrifty-sim)"
+# Extend the -p list as each crate's doc links are fixed.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p thrifty-crypto -p thrifty-sim
 
 echo "==> cargo build --release"
 cargo build --release --workspace
