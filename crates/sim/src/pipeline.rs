@@ -66,10 +66,11 @@
 //! the sender thread, beside the air it listens to, which leaves the
 //! calling thread to the receiver alone: the air side encrypts and
 //! eavesdrops, the receiver decrypts and scores.
-//! Every stage draws from its own seeded stream, the eavesdropper copies a
-//! batch before the receiver decrypts it in place, and the receiver reads
-//! each batch in arrival order before decrypting it, so neither the split
-//! nor the batching changes a draw or a verdict.
+//! Every stage draws from its own seeded stream, the eavesdropper has
+//! heard a batch before it crosses to the receiver, which decrypts it in
+//! place, and the receiver reads each batch in arrival order before
+//! decrypting it, so neither the split nor the batching changes a draw or
+//! a verdict.
 //!
 //! ## Zero-copy packet path
 //!
@@ -81,8 +82,17 @@
 //! byte-identical to per-segment OFB), and sent down the channel as the
 //! *same allocation*, batched with the rest of its train. The receiver
 //! decrypts its held batches in place as one train and moves each packet
-//! into its store; the eavesdropper copies the clear RTP payloads it
-//! stores.
+//! into its store.
+//!
+//! The two observers hear the one broadcast, so they share it: each
+//! delivered packet is wrapped once in an [`Arc`], and the eavesdropper
+//! stores a handle on each clear packet, not a copy. It never keeps a
+//! marked packet, because it cannot decrypt one. So the receiver holds the
+//! only handle on every packet it decrypts in place, and reaching its
+//! body through [`Arc::make_mut`] copies nothing. Were a marked packet
+//! ever shared, `make_mut` would give the receiver a private copy to
+//! decrypt, and the eavesdropper would keep the ciphertext, never the
+//! plaintext.
 //!
 //! Fragments are carried behind a small fragmentation header
 //! ([`FragmentHeader`]: frame index, fragment number, fragment count)
@@ -984,9 +994,7 @@ impl HeldPacket for Vec<u8> {
 impl HeldPacket for SharedPacket {
     /// Reached through [`Arc::make_mut`], which copies nothing here: only
     /// marked packets are ciphered, and the eavesdropper keeps none of
-    /// them. Were one ever shared, the receiver would decrypt a private
-    /// copy and the other holder would keep the ciphertext, never the
-    /// plaintext.
+    /// them (see the module docs).
     fn body_mut(&mut self) -> Option<&mut [u8]> {
         Arc::make_mut(self).body_mut()
     }
@@ -1204,12 +1212,11 @@ impl Observer {
         }
     }
 
-    /// The eavesdropper's ear: store each clear packet in `batch` as heard,
-    /// sharing the receiver's allocation rather than copying it (its body
-    /// starts right behind the RTP header, as [`RtpPacket::payload`] does),
-    /// then settle the frames it touched. Without the session key every
-    /// marked packet is an erasure and is never kept, so the receiver holds
-    /// the only handle on each packet it decrypts in place.
+    /// The eavesdropper's ear: store each clear packet in `batch` as heard
+    /// — a handle on the delivered allocation, its fragment starting right
+    /// behind the RTP header, where [`RtpPacket::payload`] starts — then
+    /// settle the frames it touched. Without the session key every marked
+    /// packet is an erasure, and none is kept.
     fn hear(&mut self, batch: &[SharedPacket], originals: &Originals<'_>) {
         for wire in batch {
             let Ok(pkt) = RtpPacket::parse(wire.as_slice()) else {
